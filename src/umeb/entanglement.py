@@ -20,6 +20,7 @@ minimizes over complement subspaces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -239,70 +240,106 @@ def defect_coords(w: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> float
     return float(defect_coords_batch(np.asarray(w, dtype=np.float64)[None, :], pred, frame)[0])
 
 
+# Complex amplitudes per kernel block.  Each block of rows builds its state
+# vectors, regrouped coefficient matrices and reduced states, so this bounds
+# the kernel's temporaries to a few hundred kilobytes whatever the batch size.
+_BLOCK_AMPS = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _cut_plan(pred: Predicate, shape) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Per cut the predicate reads: the transpose permutation and (dim_a, dim_b).
+
+    The permutation acts on a batch of state tensors (axis 0 is the row) and
+    brings the kept sites to the front.  CutRestricted reads its cut from
+    the smaller side.  Computed once per (predicate, shape); immutable.
+    """
+    cuts = predicate_cuts(pred, shape)
+    if isinstance(pred, CutRestricted):
+        cuts = [_small_side(cuts[0])]
+    return tuple(
+        (
+            (0,) + tuple(s + 1 for s in cut.sites) + tuple(s + 1 for s in cut.other_sites),
+            cut.dim_a,
+            cut.dim_b,
+        )
+        for cut in cuts
+    )
+
+
 def defect_coords_batch(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.ndarray:
     """Defect of many coordinate vectors at once (rows of ``W``).
 
     Vectorized twin of :func:`defect` on the coordinate encoding; the
-    search and the finite-difference gradient call this in batches.  For
-    CutRestricted the batched spectra come from LAPACK rather than the
-    Jacobi solver; the two routes are cross-checked in the test suite.
+    search and the finite-difference gradient call this in batches.  Rows
+    are evaluated in blocks of ``_BLOCK_AMPS // shape.total`` rows, so the
+    temporaries stay bounded for any batch size; every row must encode a
+    vector of norm above 1e-6.  For CutRestricted the batched spectra come
+    from LAPACK rather than the Jacobi solver; the two routes are
+    cross-checked in the test suite.
     """
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
     if W.shape[1] != 2 * len(frame):
         raise ValueError(f"expected {2 * len(frame)} coordinates per row, got {W.shape[1]}")
     shape = frame[0].shape
-    coeffs = W[:, 0::2] + 1j * W[:, 1::2]
-    vecs = coeffs @ stack_amps(frame)
+    plan = _cut_plan(pred, shape)
+    amps = stack_amps(frame)
+    block = max(1, _BLOCK_AMPS // shape.total)
+    out = np.empty(W.shape[0])
+    for start in range(0, W.shape[0], block):
+        rows = W[start : start + block]
+        vecs = (rows[:, 0::2] + 1j * rows[:, 1::2]) @ amps
+        out[start : start + block] = _defect_block(vecs, pred, shape, plan)
+    return out
+
+
+def _defect_block(vecs: np.ndarray, pred: Predicate, shape, plan) -> np.ndarray:
+    """Defects of one block of flat state vectors, normalized here."""
     norms = np.linalg.norm(vecs, axis=1)
     if np.any(norms <= 1e-6):
         raise ValueError("coordinates encode a near-zero vector")
-    vecs = vecs / norms[:, None]
-
-    cuts = predicate_cuts(pred, shape)
-    out = np.zeros(W.shape[0])
-    if isinstance(pred, CutRestricted):
-        rho = _batched_rho(vecs, shape, _small_side(cuts[0]))
-        mu = np.linalg.eigvalsh(rho)[:, ::-1]
-        top, rest = mu[:, : pred.d], mu[:, pred.d :]
-        return np.sum((top - 1.0 / pred.d) ** 2, axis=1) + np.sum(rest**2, axis=1)
-    for cut in cuts:
-        rho = _batched_rho(vecs, shape, cut)
+    n = vecs.shape[0]
+    t = (vecs / norms[:, None]).reshape((n,) + shape.dims)
+    out = np.zeros(n)
+    for perm, da, db in plan:
+        m = np.transpose(t, perm).reshape(n, da, db)
+        rho = m @ m.conj().transpose(0, 2, 1)
+        if isinstance(pred, CutRestricted):
+            mu = np.linalg.eigvalsh(rho)[:, ::-1]
+            top, rest = mu[:, : pred.d], mu[:, pred.d :]
+            return np.sum((top - 1.0 / pred.d) ** 2, axis=1) + np.sum(rest**2, axis=1)
         if isinstance(pred, Strict):
-            x = rho - np.eye(cut.dim_a) / cut.dim_a
+            x = rho - np.eye(da) / da
         else:
             x = rho @ rho - rho / pred.d
         out += np.sum(np.abs(x) ** 2, axis=(1, 2))
     return out
 
 
-def _batched_rho(vecs: np.ndarray, shape, cut: Bipartition) -> np.ndarray:
-    """Reduced states of a batch of flat state vectors on ``cut.sites``."""
-    n = vecs.shape[0]
-    t = vecs.reshape((n,) + shape.dims)
-    perm = (0,) + tuple(s + 1 for s in cut.sites) + tuple(s + 1 for s in cut.other_sites)
-    m = np.transpose(t, perm).reshape(n, cut.dim_a, cut.dim_b)
-    return m @ m.conj().transpose(0, 2, 1)
-
-
 def defect_gradient(
-    w: np.ndarray,
+    W: np.ndarray,
     pred: Predicate,
     frame: Sequence[Ket],
     step: float = 1e-5,
 ) -> np.ndarray:
     """Gradient of the coordinate-form defect by central finite differences.
 
-    The encoded vector must be unit within 1e-8; because the objective
+    ``W`` is one coordinate vector or an ``(m, 2c)`` block of them; the
+    result has the same shape, one gradient per row.  Every row must
+    encode a unit ket within 1e-8.  All 2 * 2c probes of all rows go to
+    :func:`defect_coords_batch` in one call.  Because the objective
     renormalizes internally, radial (scale and global-phase) directions
-    contribute nothing and the result is tangent-dominant.
+    contribute nothing and each gradient is tangent-dominant.
     """
-    w = np.asarray(w, dtype=np.float64)
-    n = w.size
-    if n != 2 * len(frame):
-        raise ValueError(f"expected {2 * len(frame)} coordinates, got {n}")
-    if abs(np.linalg.norm(w) - 1.0) > 1e-8:
-        raise ValueError("coordinate vector must encode a unit ket (norm within 1e-8 of 1)")
+    w = np.asarray(W, dtype=np.float64)
+    W = np.atleast_2d(w)
+    if W.ndim != 2 or W.shape[1] != 2 * len(frame):
+        raise ValueError(f"expected {2 * len(frame)} coordinates per row, got shape {w.shape}")
+    m, n = W.shape
+    if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > 1e-8):
+        raise ValueError("coordinate vectors must encode unit kets (norm within 1e-8 of 1)")
     eye = np.eye(n) * step
-    probes = np.vstack([w[None, :] + eye, w[None, :] - eye])
-    vals = defect_coords_batch(probes, pred, frame)
-    return (vals[:n] - vals[n:]) / (2.0 * step)
+    probes = np.concatenate([W[:, None, :] + eye, W[:, None, :] - eye], axis=1)
+    vals = defect_coords_batch(probes.reshape(2 * m * n, n), pred, frame).reshape(m, 2 * n)
+    grads = (vals[:, :n] - vals[:, n:]) / (2.0 * step)
+    return grads if w.ndim == 2 else grads[0]

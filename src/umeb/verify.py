@@ -20,7 +20,7 @@ from .constructions import LabeledBasis
 from .entanglement import (
     Predicate,
     coords_to_ket,
-    defect_coords,
+    defect_coords_batch,
     defect_gradient,
     is_maximally_entangled,
     predicate_cuts,
@@ -78,49 +78,70 @@ class SearchConfig:
             raise ValueError("step and grad_tol must be positive")
 
 
+# Restarts one descent steps together.  Larger searches run in groups of
+# this size, so memory does not grow with cfg.restarts beyond the results.
+_LOCKSTEP = 32
+
+
 def minimize_on_sphere(
-    value: Callable[[np.ndarray], float],
+    value: Callable[[np.ndarray], np.ndarray],
     grad: Callable[[np.ndarray], np.ndarray],
-    w0: np.ndarray,
+    W0: np.ndarray,
     cfg: SearchConfig,
-) -> tuple[np.ndarray, float, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """Projected gradient descent on the unit sphere with backtracking.
 
-    Steps along the negative tangent component of the gradient, shrinking
-    the step until the objective decreases and cautiously re-growing it
-    after success.  Returns the final point, its value, and the history
-    of accepted values (non-increasing by construction).  Stops when the
-    tangent gradient drops below ``cfg.grad_tol``, the step underflows,
-    or ``cfg.max_iters`` is exhausted.
+    ``W0`` is an ``(R, n)`` block of starts, one descent per row (a 1-D
+    start is a block of one row).  ``value`` maps an ``(m, n)`` block of
+    points to their ``(m,)`` objective values and ``grad`` to their
+    ``(m, n)`` gradients; both are called on the rows still moving only.
+
+    The rows step in lockstep, but each keeps its own step size,
+    backtracking and stop test, so every row follows the rule it would
+    follow alone: step along the negative tangent component of the
+    gradient, shrink the step until the objective decreases, and
+    cautiously re-grow it after success.  A row stops when its tangent
+    gradient drops below ``cfg.grad_tol`` or its step underflows; every
+    row stops after ``cfg.max_iters`` gradient evaluations.  Returns the
+    final points, their values, and per row the history of accepted
+    values (non-increasing by construction).
     """
-    w = np.asarray(w0, dtype=np.float64)
-    nrm = np.linalg.norm(w)
-    if nrm <= 1e-12:
+    W = np.atleast_2d(np.array(W0, dtype=np.float64))
+    norms = np.linalg.norm(W, axis=1)
+    if np.any(norms <= 1e-12):
         raise ValueError("start point is numerically zero")
-    w = w / nrm
-    f = float(value(w))
-    history = [f]
-    alpha = cfg.step
+    W /= norms[:, None]
+    f = np.array(value(W), dtype=np.float64)
+    histories = [[float(x)] for x in f]
+    alpha = np.full(len(W), cfg.step)
+    live = np.arange(len(W))  # rows still descending
     for _ in range(cfg.max_iters):
-        g = grad(w)
-        g_tan = g - np.dot(g, w) * w
-        if np.linalg.norm(g_tan) <= cfg.grad_tol:
+        if not live.size:
             break
-        moved = False
-        while alpha >= 1e-14:
-            cand = w - alpha * g_tan
-            cand = cand / np.linalg.norm(cand)
-            fc = float(value(cand))
-            if fc < f:
-                w, f = cand, fc
-                history.append(f)
-                alpha = min(alpha / cfg.shrink, cfg.step)
-                moved = True
-                break
-            alpha *= cfg.shrink
-        if not moved:
-            break
-    return w, f, history
+        P = W[live]
+        G = grad(P)
+        G = G - np.sum(G * P, axis=1)[:, None] * P
+        steep = np.linalg.norm(G, axis=1) > cfg.grad_tol
+        live, G = live[steep], G[steep]
+        moved = np.zeros(live.size, dtype=bool)
+        trying = np.flatnonzero(alpha[live] >= 1e-14)  # positions in live
+        while trying.size:
+            rows = live[trying]
+            cand = W[rows] - alpha[rows][:, None] * G[trying]
+            cand /= np.linalg.norm(cand, axis=1)[:, None]
+            fc = np.asarray(value(cand))
+            better = fc < f[rows]
+            won = rows[better]
+            W[won], f[won] = cand[better], fc[better]
+            for r in won:
+                histories[r].append(float(f[r]))
+            alpha[won] = np.minimum(alpha[won] / cfg.shrink, cfg.step)
+            moved[trying[better]] = True
+            alpha[rows[~better]] *= cfg.shrink
+            trying = trying[~better]
+            trying = trying[alpha[live[trying]] >= 1e-14]
+        live = live[moved]
+    return W, f, histories
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +176,13 @@ def unextendibility_search(
     """Certify numerically whether a basis extends under a predicate.
 
     Builds an orthonormal frame of the complement, then runs
-    ``cfg.restarts`` independent descents from seeded random starts.
-    Restart ``r`` draws its start from ``default_rng((cfg.seed, r))``, so
-    results are reproducible run to run.  Among restarts tying for the
-    minimum (within 1e-12) the lowest restart index supplies the argmin.
+    ``cfg.restarts`` independent descents from seeded random starts.  The
+    restarts step in lockstep, up to 32 at a time, as the rows of one
+    :func:`minimize_on_sphere` block; each row still follows its own
+    descent.  Restart ``r`` draws its start from
+    ``default_rng((cfg.seed, r))``, so results are reproducible run to
+    run.  Among restarts tying for the minimum (within 1e-12) the lowest
+    restart index supplies the argmin.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -175,16 +199,18 @@ def unextendibility_search(
             witness=None,
         )
     ncoord = 2 * len(frame)
-    value = lambda w: defect_coords(w, pred, frame)
-    grad = lambda w: defect_gradient(w, pred, frame)
-    finals: list[tuple[np.ndarray, float]] = []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, r))
-        w0 = rng.standard_normal(ncoord)
-        w, f, _ = minimize_on_sphere(value, grad, w0, cfg)
-        finals.append((w, f))
-    fmin = min(f for _, f in finals)
-    best_w = next(w for w, f in finals if f <= fmin + 1e-12)
+    value = lambda W: defect_coords_batch(W, pred, frame)
+    grad = lambda W: defect_gradient(W, pred, frame)
+    finals_w, finals_f = [], []
+    for first in range(0, cfg.restarts, _LOCKSTEP):
+        group = range(first, min(first + _LOCKSTEP, cfg.restarts))
+        W0 = np.array([np.random.default_rng((cfg.seed, r)).standard_normal(ncoord) for r in group])
+        W, f, _ = minimize_on_sphere(value, grad, W0, cfg)
+        finals_w.append(W)
+        finals_f.extend(float(x) for x in f)
+    fmin = min(finals_f)
+    best = next(r for r, f in enumerate(finals_f) if f <= fmin + 1e-12)
+    best_w = finals_w[best // _LOCKSTEP][best % _LOCKSTEP]
     argmin = coords_to_ket(best_w, frame)
     found = fmin <= witness_tol
     return UnextendibilityResult(
@@ -192,7 +218,7 @@ def unextendibility_search(
         complement_dim=len(frame),
         min_defect=fmin,
         argmin=argmin,
-        per_restart_minima=tuple(sorted(f for _, f in finals)),
+        per_restart_minima=tuple(sorted(finals_f)),
         verdict="me_state_found" if found else "unextendible",
         witness=argmin if found else None,
     )

@@ -6,6 +6,7 @@ import pytest
 
 from umeb.constructions import ghz3, umeb_2x3_type1, umeb_2x3x3_first
 from umeb.entanglement import (
+    _BLOCK_AMPS,
     CutRestricted,
     GhzType,
     Strict,
@@ -248,6 +249,24 @@ def test_defect_coords_rejects_near_zero_rows():
         defect_coords_batch(W, Strict(), frame)
 
 
+def test_defect_coords_batch_spans_kernel_blocks():
+    rng = np.random.default_rng(89)
+    fam = umeb_2x3x3_first()
+    frame = orthonormal_complement(fam.kets)
+    shape = fam.shape
+    rows = 2 * (_BLOCK_AMPS // shape.total) + 7  # three kernel blocks
+    W = rng.standard_normal((rows, 2 * len(frame)))
+    preds = (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (0,)), 2))
+    for pred in preds:
+        batch = defect_coords_batch(W, pred, frame)
+        single = np.array([defect_coords(w, pred, frame) for w in W])
+        assert np.max(np.abs(batch - single)) <= 1e-12
+    W[-1] *= 1e-9  # a near-zero row in the last block only
+    for pred in preds:
+        with pytest.raises(ValueError):
+            defect_coords_batch(W, pred, frame)
+
+
 def test_defect_gradient_matches_directional_secant():
     rng = np.random.default_rng(53)
     fam = umeb_2x3x3_first()
@@ -285,3 +304,23 @@ def test_defect_gradient_requires_unit_coordinates():
     frame = orthonormal_complement(fam.kets)
     with pytest.raises(ValueError):
         defect_gradient(np.full(4, 2.0), Strict(), frame)
+
+
+def test_defect_gradient_of_block_matches_rows():
+    # 20 rows of 24 coordinates make 960 probes, more than one kernel block
+    rng = np.random.default_rng(97)
+    fam = umeb_2x3x3_first()
+    frame = orthonormal_complement(fam.kets)
+    W = rng.standard_normal((20, 2 * len(frame)))
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    preds = (Strict(), GhzType(2), CutRestricted(Bipartition(fam.shape, (0,)), 2))
+    for pred in preds:
+        block = defect_gradient(W, pred, frame)
+        assert block.shape == W.shape
+        rows = np.array([defect_gradient(w, pred, frame) for w in W])
+        assert np.max(np.abs(block - rows)) <= 1e-9
+    for bad in (0, 9, 19):
+        V = W.copy()
+        V[bad] *= 1.5
+        with pytest.raises(ValueError):
+            defect_gradient(V, Strict(), frame)

@@ -71,25 +71,66 @@ def test_search_config_validation():
         SearchConfig(grad_tol=-1.0)
 
 
+def quadratic(diag):
+    """Block callbacks of w.Aw for diagonal A; its minimum on the unit
+    sphere is the smallest eigenvalue, reached at the matching unit vector."""
+    a = np.diag(diag)
+    return (lambda W: np.einsum("ij,jk,ik->i", W, a, W)), (lambda W: 2.0 * (W @ a))
+
+
 def test_minimize_on_sphere_finds_smallest_eigenvalue():
-    # the minimum of w.Aw on the unit sphere is the smallest eigenvalue
-    a = np.diag([3.0, 2.0, 0.5, 1.0])
-    value = lambda w: float(w @ a @ w)
-    grad = lambda w: 2.0 * (a @ w)
+    value, grad = quadratic([3.0, 2.0, 0.5, 1.0])
     rng = np.random.default_rng(67)
-    cfg = SearchConfig()
-    for _ in range(5):
-        w0 = rng.standard_normal(4)
-        w, f, history = minimize_on_sphere(value, grad, w0, cfg)
-        assert f == pytest.approx(0.5, abs=1e-9)
+    W0 = rng.standard_normal((5, 4))
+    W, f, histories = minimize_on_sphere(value, grad, W0, SearchConfig())
+    assert W.shape == (5, 4) and f.shape == (5,) and len(histories) == 5
+    for w, fr, history in zip(W, f, histories):
+        assert fr == pytest.approx(0.5, abs=1e-9)
         assert abs(w[2]) == pytest.approx(1.0, abs=1e-4)
         assert all(b <= a_ for a_, b in zip(history, history[1:]))
+        assert history[-1] == fr
+
+
+def test_minimize_on_sphere_rows_descend_independently():
+    # a stiff landscape, so each row backtracks to its own step sizes; row 2
+    # starts at the minimum and stops at once while the others keep
+    # descending, and every row ends where it ends when run alone
+    value, grad = quadratic([100.0, 20.0, 0.5, 1.0])
+    rng = np.random.default_rng(71)
+    W0 = rng.standard_normal((5, 4))
+    W0[2] = [0.0, 0.0, 1.0, 0.0]
+    value_rows, grad_rows = [], []
+
+    def counted_value(W):
+        value_rows.append(len(W))
+        return value(W)
+
+    def counted_grad(W):
+        grad_rows.append(len(W))
+        return grad(W)
+
+    cfg = SearchConfig()
+    W, f, histories = minimize_on_sphere(counted_value, counted_grad, W0, cfg)
+    assert value_rows[0] == 5 and max(value_rows[1:]) <= 4
+    assert grad_rows[:2] == [5, 4]
+    assert histories[2] == [0.5]
+    assert np.array_equal(W[2], W0[2])
+    assert all(len(h) > 1 for r, h in enumerate(histories) if r != 2)
+    for r in range(5):
+        w1, f1, h1 = minimize_on_sphere(value, grad, W0[r : r + 1], cfg)
+        assert abs(f1[0] - f[r]) <= 1e-12
+        assert np.allclose(w1[0], W[r], atol=1e-9)
+        assert len(h1[0]) == len(histories[r])
 
 
 def test_minimize_on_sphere_rejects_zero_start():
     cfg = SearchConfig()
     with pytest.raises(ValueError):
         minimize_on_sphere(lambda w: 0.0, lambda w: w, np.zeros(4), cfg)
+    W0 = np.ones((3, 4))
+    W0[1] = 0.0
+    with pytest.raises(ValueError):
+        minimize_on_sphere(*quadratic([3.0, 2.0, 0.5, 1.0]), W0, cfg)
 
 
 def test_search_on_complete_basis_reports_complete():
@@ -140,6 +181,19 @@ def test_search_tie_break_takes_lowest_restart_index():
     res = unextendibility_search(fam, GhzType(2), small_cfg(restarts=5, seed=9))
     rng = np.random.default_rng((9, 0))
     w0 = rng.standard_normal(2 * len(frame))
+    expect = coords_to_ket(w0 / np.linalg.norm(w0), frame)
+    assert np.allclose(res.argmin.amps, expect.amps, atol=1e-14)
+
+
+def test_search_beyond_one_lockstep_group_keeps_seeds_and_tie_rule():
+    # 35 restarts run as two lockstep groups; on the constant 2x3 landscape
+    # every restart ties, and the argmin is still restart 0's start point
+    fam = umeb_2x3_type1()
+    frame = orthonormal_complement(fam.kets)
+    res = unextendibility_search(fam, GhzType(2), small_cfg(restarts=35, seed=3))
+    assert len(res.per_restart_minima) == 35
+    assert max(res.per_restart_minima) == pytest.approx(0.25, abs=1e-12)
+    w0 = np.random.default_rng((3, 0)).standard_normal(2 * len(frame))
     expect = coords_to_ket(w0 / np.linalg.norm(w0), frame)
     assert np.allclose(res.argmin.amps, expect.amps, atol=1e-14)
 
