@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -271,75 +271,148 @@ def defect_coords_batch(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) ->
     """Defect of many coordinate vectors at once (rows of ``W``).
 
     Vectorized twin of :func:`defect` on the coordinate encoding; the
-    search and the finite-difference gradient call this in batches.  Rows
-    are evaluated in blocks of ``_BLOCK_AMPS // shape.total`` rows, so the
-    temporaries stay bounded for any batch size; every row must encode a
-    vector of norm above 1e-6.  For CutRestricted the batched spectra come
-    from LAPACK rather than the Jacobi solver; the two routes are
-    cross-checked in the test suite.
+    search calls this in batches for objective values, and
+    :func:`defect_gradient` for its probes when given a finite-difference
+    ``step``.  Rows are evaluated in blocks of ``_BLOCK_AMPS //
+    shape.total`` rows, so the temporaries stay bounded for any batch
+    size; every row must encode a vector of norm above 1e-6.  For
+    CutRestricted the batched spectra come from LAPACK ``eigvalsh``; the
+    test suite cross-checks them against the scalar route.
     """
-    W = np.atleast_2d(np.asarray(W, dtype=np.float64))
-    if W.shape[1] != 2 * len(frame):
-        raise ValueError(f"expected {2 * len(frame)} coordinates per row, got {W.shape[1]}")
+    W = _coord_rows(W, frame)
     shape = frame[0].shape
     plan = _cut_plan(pred, shape)
-    amps = stack_amps(frame)
-    block = max(1, _BLOCK_AMPS // shape.total)
     out = np.empty(W.shape[0])
-    for start in range(0, W.shape[0], block):
-        rows = W[start : start + block]
-        vecs = (rows[:, 0::2] + 1j * rows[:, 1::2]) @ amps
-        out[start : start + block] = _defect_block(vecs, pred, shape, plan)
+    for rows, psi, _ in _coord_blocks(W, stack_amps(frame)):
+        out[rows] = _defect_block(psi, pred, shape, plan)
     return out
 
 
-def _defect_block(vecs: np.ndarray, pred: Predicate, shape, plan) -> np.ndarray:
-    """Defects of one block of flat state vectors, normalized here."""
-    norms = np.linalg.norm(vecs, axis=1)
-    if np.any(norms <= 1e-6):
-        raise ValueError("coordinates encode a near-zero vector")
-    n = vecs.shape[0]
-    t = (vecs / norms[:, None]).reshape((n,) + shape.dims)
-    out = np.zeros(n)
+def _coord_rows(W: np.ndarray, frame: Sequence[Ket]) -> np.ndarray:
+    W = np.atleast_2d(np.asarray(W, dtype=np.float64))
+    if W.ndim != 2 or W.shape[1] != 2 * len(frame):
+        raise ValueError(f"expected {2 * len(frame)} coordinates per row, got shape {W.shape}")
+    return W
+
+
+def _coord_blocks(W: np.ndarray, amps: np.ndarray):
+    """Yield ``(rows, psi, norms)`` per kernel block of coordinate rows.
+
+    ``rows`` slices ``W``; ``psi`` holds the unit state vectors the rows
+    encode in the frame ``amps`` and ``norms`` their norms before
+    normalization.  Raises on a row encoding a near-zero vector.
+    """
+    block = max(1, _BLOCK_AMPS // amps.shape[1])
+    for start in range(0, W.shape[0], block):
+        rows = slice(start, start + block)
+        vecs = (W[rows, 0::2] + 1j * W[rows, 1::2]) @ amps
+        norms = np.linalg.norm(vecs, axis=1)
+        if np.any(norms <= 1e-6):
+            raise ValueError("coordinates encode a near-zero vector")
+        yield rows, vecs / norms[:, None], norms
+
+
+def _cut_blocks(psi: np.ndarray, shape, plan):
+    """Yield ``(perm, m, rho)`` per cut of a :func:`_cut_plan`.
+
+    ``m`` is the block's coefficient matrices across the cut, taken from
+    the state tensors transposed by ``perm``, and ``rho = m m^dagger`` the
+    reduced states on the cut's first side.
+    """
+    n = psi.shape[0]
+    t = psi.reshape((n,) + shape.dims)
     for perm, da, db in plan:
         m = np.transpose(t, perm).reshape(n, da, db)
-        rho = m @ m.conj().transpose(0, 2, 1)
+        yield perm, m, m @ m.conj().transpose(0, 2, 1)
+
+
+def _defect_block(psi: np.ndarray, pred: Predicate, shape, plan) -> np.ndarray:
+    """Defects of one block of unit state vectors."""
+    out = np.zeros(psi.shape[0])
+    for _, _, rho in _cut_blocks(psi, shape, plan):
         if isinstance(pred, CutRestricted):
             mu = np.linalg.eigvalsh(rho)[:, ::-1]
             top, rest = mu[:, : pred.d], mu[:, pred.d :]
             return np.sum((top - 1.0 / pred.d) ** 2, axis=1) + np.sum(rest**2, axis=1)
         if isinstance(pred, Strict):
-            x = rho - np.eye(da) / da
+            x = rho - np.eye(rho.shape[1]) / rho.shape[1]
         else:
             x = rho @ rho - rho / pred.d
         out += np.sum(np.abs(x) ** 2, axis=(1, 2))
     return out
 
 
+def _gradient_block(psi: np.ndarray, pred: Predicate, shape, plan) -> np.ndarray:
+    """Gradient of the defect at one block of unit state vectors.
+
+    Per cut, ``G = df/drho`` is Hermitian and ``df = Re tr(G drho)``; with
+    ``rho = m m^dagger`` that is ``Re <2 G m, dm>``, so ``2 G m`` is the
+    gradient in ``m`` (real and imaginary parts as one complex array).  It
+    is added back into state-vector order through the cut's transposed
+    view.  The radial component is removed, leaving the gradient of the
+    defect in the tangent space of the unit sphere at ``psi``.
+    """
+    n = psi.shape[0]
+    h = np.zeros((n,) + shape.dims, dtype=np.complex128)
+    for perm, m, rho in _cut_blocks(psi, shape, plan):
+        da = rho.shape[1]
+        if isinstance(pred, CutRestricted) and pred.d < da:
+            mu, u = np.linalg.eigh(rho)  # ascending, so the 1/d targets come last
+            target = np.zeros(da)
+            target[da - pred.d :] = 1.0 / pred.d
+            g = (u * (2.0 * (mu - target))[:, None, :]) @ u.conj().transpose(0, 2, 1)
+        elif isinstance(pred, GhzType):
+            x = rho @ rho - rho / pred.d
+            g = 2.0 * (x @ rho + rho @ x - x / pred.d)
+        else:  # Strict, or CutRestricted with d = da: 2 (rho - I/d)
+            g = 2.0 * (rho - np.eye(da) / da)
+        hp = np.transpose(h, perm)
+        hp += (2.0 * (g @ m)).reshape(hp.shape)
+    h = h.reshape(n, -1)
+    radial = np.sum((psi.conj() * h).real, axis=1)
+    return h - radial[:, None] * psi
+
+
 def defect_gradient(
     W: np.ndarray,
     pred: Predicate,
     frame: Sequence[Ket],
-    step: float = 1e-5,
+    step: Optional[float] = None,
 ) -> np.ndarray:
-    """Gradient of the coordinate-form defect by central finite differences.
+    """Gradient of the coordinate-form defect.
 
     ``W`` is one coordinate vector or an ``(m, 2c)`` block of them; the
     result has the same shape, one gradient per row.  Every row must
-    encode a unit ket within 1e-8.  All 2 * 2c probes of all rows go to
-    :func:`defect_coords_batch` in one call.  Because the objective
-    renormalizes internally, radial (scale and global-phase) directions
-    contribute nothing and each gradient is tangent-dominant.
+    encode a unit ket within 1e-8.
+
+    By default the gradient is exact, in closed form: one kernel
+    evaluation per row (see :func:`_gradient_block`), then the chain rule
+    through the normalization ``psi = v / |v|`` and the frame ``v = z @
+    amps``.  The objective renormalizes, so radial (scale) and
+    global-phase directions carry no gradient.
+
+    With a ``step``, the gradient is taken by central finite differences
+    instead: all 2 * 2c probes of all rows go to
+    :func:`defect_coords_batch` in one call.  This is the reference the
+    closed form is tested against.
     """
     w = np.asarray(W, dtype=np.float64)
-    W = np.atleast_2d(w)
-    if W.ndim != 2 or W.shape[1] != 2 * len(frame):
-        raise ValueError(f"expected {2 * len(frame)} coordinates per row, got shape {w.shape}")
+    W = _coord_rows(w, frame)
     m, n = W.shape
     if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > 1e-8):
         raise ValueError("coordinate vectors must encode unit kets (norm within 1e-8 of 1)")
-    eye = np.eye(n) * step
-    probes = np.concatenate([W[:, None, :] + eye, W[:, None, :] - eye], axis=1)
-    vals = defect_coords_batch(probes.reshape(2 * m * n, n), pred, frame).reshape(m, 2 * n)
-    grads = (vals[:, :n] - vals[:, n:]) / (2.0 * step)
+    if step is None:
+        shape = frame[0].shape
+        plan = _cut_plan(pred, shape)
+        amps = stack_amps(frame)
+        grads = np.empty_like(W)
+        for rows, psi, norms in _coord_blocks(W, amps):
+            gz = (_gradient_block(psi, pred, shape, plan) / norms[:, None]) @ amps.conj().T
+            grads[rows, 0::2] = gz.real
+            grads[rows, 1::2] = gz.imag
+    else:
+        eye = np.eye(n) * step
+        probes = np.concatenate([W[:, None, :] + eye, W[:, None, :] - eye], axis=1)
+        vals = defect_coords_batch(probes.reshape(2 * m * n, n), pred, frame).reshape(m, 2 * n)
+        grads = (vals[:, :n] - vals[:, n:]) / (2.0 * step)
     return grads if w.ndim == 2 else grads[0]

@@ -251,67 +251,17 @@ def coefficient_matrix(v: Ket, cut: Bipartition) -> np.ndarray:
     return np.transpose(t, cut.sites + cut.other_sites).reshape(cut.dim_a, cut.dim_b)
 
 
-def hermitian_eigenvalues(
-    m: Operator,
-    herm_tol: float = 1e-10,
-    off_tol: float = 1e-13,
-    max_sweeps: int = 100,
-) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, descending, via cyclic Jacobi sweeps.
+def hermitian_eigenvalues(m: Operator, herm_tol: float = 1e-10) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, descending (LAPACK ``eigvalsh``).
 
-    Each rotation annihilates one off-diagonal entry with a phased Givens
-    rotation; sweeps repeat until the off-diagonal Frobenius norm falls
-    below ``off_tol`` (scaled up for matrices with norm above 1).  Sized
-    for the small reduced states this package produces (n <= 32).
+    The matrix must be square and Hermitian within ``herm_tol``.
     """
-    a = np.array(m.entries, dtype=np.complex128)
-    n = a.shape[0]
-    if n != a.shape[1]:
+    a = m.entries
+    if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if n > 32:
-        raise ValueError(f"matrix size {n} exceeds the supported maximum of 32")
     if float(np.abs(a - a.conj().T).max()) > herm_tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-
-    if n == 1:
-        return np.array([a[0, 0].real])
-
-    stop = off_tol * max(1.0, float(np.linalg.norm(a)))
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        # norm of the off-diagonal part taken entrywise; the difference
-        # ||a||^2 - ||diag||^2 would cancel catastrophically near convergence
-        off = float(np.linalg.norm(a[off_mask]))
-        if off < stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(a[p, q])
-                if r <= stop / (2.0 * n):
-                    continue
-                phase = a[p, q] / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                kpp, kpq = phase * c, phase * s
-                kqp, kqq = -s, c
-                col_p = a[:, p] * kpp + a[:, q] * kqp
-                col_q = a[:, p] * kpq + a[:, q] * kqq
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = np.conj(kpp) * a[p, :] + np.conj(kqp) * a[q, :]
-                row_q = np.conj(kpq) * a[p, :] + np.conj(kqq) * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    else:
-        raise ArithmeticError("Jacobi sweeps did not converge")
-    return np.sort(np.diag(a).real)[::-1]
+    return np.linalg.eigvalsh(a)[::-1]
 
 
 def gram_matrix(vs: Sequence[Ket]) -> Operator:

@@ -1,15 +1,19 @@
 """Schmidt data, the three maximal-entanglement predicates, and the
-defect machinery the search optimizes (scalar vs batched route)."""
+defect machinery the search optimizes (scalar vs batched route, closed-form
+vs finite-difference gradient)."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from umeb.constructions import ghz3, umeb_2x3_type1, umeb_2x3x3_first
+from umeb.constructions import ghz3, lift_umeb, umeb_2x3_type1, umeb_2x3x3_first
 from umeb.entanglement import (
     _BLOCK_AMPS,
     CutRestricted,
     GhzType,
     Strict,
+    _small_side,
     coords_to_ket,
     cut_residual,
     defect,
@@ -32,6 +36,7 @@ from umeb.hilbert import (
     orthonormal_complement,
     random_unit_ket,
     random_unitary,
+    stack_amps,
 )
 
 
@@ -150,6 +155,15 @@ def test_cut_restricted_sees_only_its_cut():
         assert is_maximally_entangled(ket, pred).ok
 
 
+def test_maximally_entangled_ket_beyond_32_dimensions():
+    shape = SystemShape((33, 33))
+    amps = np.zeros(shape.total)
+    amps[[shape.flat_index((i, i)) for i in range(33)]] = 33**-0.5
+    ket = Ket(shape, amps)
+    assert is_maximally_entangled(ket, Strict()).ok
+    assert not is_maximally_entangled(ket, GhzType(2)).ok  # 33 values of 1/33
+
+
 def test_is_maximally_entangled_requires_unit_ket():
     s = SystemShape((2, 2))
     with pytest.raises(ValueError):
@@ -212,8 +226,8 @@ def test_coords_roundtrip_and_validation():
 
 
 def test_defect_coords_agrees_with_scalar_defect():
-    # two independent evaluation routes: partial_trace + Jacobi on kets
-    # vs the batched reshape/einsum/LAPACK path on coordinates
+    # two independent evaluation routes: partial_trace + hermitian_eigenvalues
+    # on kets vs the batched reshape/matmul path on coordinates
     rng = np.random.default_rng(43)
     fam = umeb_2x3x3_first()
     frame = orthonormal_complement(fam.kets)
@@ -288,15 +302,17 @@ def test_defect_gradient_matches_directional_secant():
 
 def test_defect_gradient_zero_on_constant_landscape():
     # the 2x3 complement is spanned by |02>, |12>; every unit combination
-    # has the same defect, so the gradient vanishes up to the difference
-    # noise floor of roughly eps/step ~ 1e-11
+    # has the same defect, so the gradient vanishes: to rounding in closed
+    # form, and up to the difference noise floor of roughly eps/step ~ 1e-11
+    # with finite differences
     fam = umeb_2x3_type1()
     frame = orthonormal_complement(fam.kets)
     rng = np.random.default_rng(59)
     w = rng.standard_normal(4)
     w /= np.linalg.norm(w)
-    g = defect_gradient(w, GhzType(2), frame)
-    assert np.max(np.abs(g)) < 1e-9
+    for step in (None, 1e-5):
+        g = defect_gradient(w, GhzType(2), frame, step=step)
+        assert np.max(np.abs(g)) < 1e-9
 
 
 def test_defect_gradient_requires_unit_coordinates():
@@ -307,20 +323,141 @@ def test_defect_gradient_requires_unit_coordinates():
 
 
 def test_defect_gradient_of_block_matches_rows():
-    # 20 rows of 24 coordinates make 960 probes, more than one kernel block
+    # with step=1e-5, 20 rows of 24 coordinates make 960 probes, more than
+    # one kernel block; the closed form evaluates the 20 rows once
     rng = np.random.default_rng(97)
     fam = umeb_2x3x3_first()
     frame = orthonormal_complement(fam.kets)
     W = rng.standard_normal((20, 2 * len(frame)))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     preds = (Strict(), GhzType(2), CutRestricted(Bipartition(fam.shape, (0,)), 2))
+    for step in (None, 1e-5):
+        for pred in preds:
+            block = defect_gradient(W, pred, frame, step=step)
+            assert block.shape == W.shape
+            rows = np.array([defect_gradient(w, pred, frame, step=step) for w in W])
+            assert np.max(np.abs(block - rows)) <= 1e-9
+        for bad in (0, 9, 19):
+            V = W.copy()
+            V[bad] *= 1.5
+            with pytest.raises(ValueError):
+                defect_gradient(V, Strict(), frame, step=step)
+
+
+def _unit_rows(rng, m, n):
+    W = rng.standard_normal((m, n))
+    return W / np.linalg.norm(W, axis=1, keepdims=True)
+
+
+def _frames():
+    return {
+        "2x3x3": orthonormal_complement(umeb_2x3x3_first().kets),
+        "2x3x6": orthonormal_complement(lift_umeb(umeb_2x3_type1(), 6).kets),
+    }
+
+
+@pytest.mark.parametrize("frame_name", ["2x3x3", "2x3x6"])
+def test_closed_form_gradient_matches_finite_differences(frame_name):
+    rng = np.random.default_rng(101)
+    frame = _frames()[frame_name]
+    shape = frame[0].shape
+    W = _unit_rows(rng, 12, 2 * len(frame))
+    for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (0,)), 2)):
+        exact = defect_gradient(W, pred, frame)
+        reference = defect_gradient(W, pred, frame, step=1e-5)
+        assert np.max(np.abs(exact - reference)) <= 1e-7
+
+
+def test_closed_form_gradient_below_the_small_side_dimension():
+    # d = 2 on a three-dimensional side: the defect is not polynomial in
+    # rho and the gradient goes through the eigenvectors of rho.  The
+    # family complements keep site 1 pure, so take a random subspace
+    rng = np.random.default_rng(103)
+    shape = SystemShape((2, 3, 3))
+    basis = random_unitary(shape.total, rng).entries[:6]
+    frame = orthonormal_complement([Ket(shape, row) for row in basis])
+    cut = Bipartition(shape, (1,))
+    pred = CutRestricted(cut, 2)
+    W = _unit_rows(rng, 12, 2 * len(frame))
+    for w in W:  # the spectra at these rows are well separated
+        mu = schmidt_coefficients(coords_to_ket(w, frame), cut).coefficients ** 2
+        assert np.min(-np.diff(mu)) > 1e-3
+    exact = defect_gradient(W, pred, frame)
+    reference = defect_gradient(W, pred, frame, step=1e-5)
+    assert np.max(np.abs(exact - reference)) <= 1e-7
+
+
+def test_closed_form_gradient_is_tangent_to_scale_and_phase():
+    rng = np.random.default_rng(107)
+    for frame in _frames().values():
+        shape = frame[0].shape
+        W = _unit_rows(rng, 10, 2 * len(frame))
+        iW = np.empty_like(W)  # the coordinates of i * z
+        iW[:, 0::2], iW[:, 1::2] = -W[:, 1::2], W[:, 0::2]
+        preds = (
+            Strict(),
+            GhzType(2),
+            CutRestricted(Bipartition(shape, (0,)), 2),
+            CutRestricted(Bipartition(shape, (1,)), 2),
+        )
+        for pred in preds:
+            g = defect_gradient(W, pred, frame)
+            assert np.max(np.abs(np.sum(g * W, axis=1))) < 1e-12
+            assert np.max(np.abs(np.sum(g * iW, axis=1))) < 1e-12
+
+
+def test_closed_form_gradient_spans_kernel_blocks():
+    rng = np.random.default_rng(109)
+    fam = umeb_2x3x3_first()
+    frame = orthonormal_complement(fam.kets)
+    rows = 2 * (_BLOCK_AMPS // fam.shape.total) + 7  # three kernel blocks
+    W = _unit_rows(rng, rows, 2 * len(frame))
+    preds = (Strict(), GhzType(2), CutRestricted(Bipartition(fam.shape, (1,)), 2))
     for pred in preds:
         block = defect_gradient(W, pred, frame)
-        assert block.shape == W.shape
-        rows = np.array([defect_gradient(w, pred, frame) for w in W])
-        assert np.max(np.abs(block - rows)) <= 1e-9
-    for bad in (0, 9, 19):
-        V = W.copy()
-        V[bad] *= 1.5
-        with pytest.raises(ValueError):
-            defect_gradient(V, Strict(), frame)
+        single = np.array([defect_gradient(w, pred, frame) for w in W])
+        assert np.max(np.abs(block - single)) <= 1e-12
+    V = W.copy()
+    V[-1] *= 1.5
+    with pytest.raises(ValueError, match="unit kets"):
+        defect_gradient(V, Strict(), frame)
+    # a frame whose last two kets coincide: a unit coordinate row can then
+    # encode the zero vector, which the block kernel must refuse
+    twin = frame[:-1] + frame[-2:-1]
+    V = W.copy()
+    V[-1] = 0.0
+    V[-1, -4], V[-1, -2] = 2**-0.5, -(2**-0.5)
+    with pytest.raises(ValueError, match="near-zero"):
+        defect_gradient(V, Strict(), twin)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (2, 2, 2), (2, 3, 3)]),
+    data=st.data(),
+)
+def test_closed_form_gradient_matches_finite_differences_on_random_bases(dims, data):
+    shape = SystemShape(dims)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kept = data.draw(st.integers(1, shape.total - 1), label="basis size")
+    basis = random_unitary(shape.total, rng).entries[:kept]
+    frame = orthonormal_complement([Ket(shape, row) for row in basis])
+    if data.draw(st.booleans(), label="skewed frame"):
+        # same span, no longer orthonormal: rows then encode non-unit vectors
+        c = len(frame)
+        mix = np.eye(c) + 0.3 * (rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))
+        frame = [Ket(shape, row) for row in mix @ stack_amps(frame)]
+    sites = data.draw(st.sampled_from(range(len(dims))), label="cut site")
+    pred = data.draw(
+        st.sampled_from([Strict(), GhzType(2), CutRestricted(Bipartition(shape, (sites,)), 2)]),
+        label="predicate",
+    )
+    W = _unit_rows(rng, 3, 2 * len(frame))
+    if isinstance(pred, CutRestricted):
+        cut = _small_side(pred.cut)
+        for w in W:  # finite differences need a gap at the d-th eigenvalue
+            mu = schmidt_coefficients(coords_to_ket(w, frame), cut).coefficients ** 2
+            assume(mu.size == pred.d or mu[pred.d - 1] - mu[pred.d] > 1e-3)
+    exact = defect_gradient(W, pred, frame)
+    reference = defect_gradient(W, pred, frame, step=1e-5)
+    assert np.max(np.abs(exact - reference)) <= 1e-7

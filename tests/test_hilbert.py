@@ -1,5 +1,5 @@
 """Core linear algebra: shapes, kets, bipartitions, reductions, and the
-Jacobi eigensolver (cross-checked against LAPACK)."""
+Hermitian eigenvalue wrapper (checked on known spectra)."""
 
 import numpy as np
 import pytest
@@ -202,27 +202,28 @@ def test_coefficient_matrix_reproduces_reduced_state():
     assert np.allclose(m @ m.conj().T, rho.entries, atol=1e-13)
 
 
-def test_jacobi_matches_lapack_on_random_hermitian():
+def _known_spectrum(evals, rng, scale=1.0):
+    u = random_unitary(len(evals), rng).entries
+    return Operator(scale * (u @ np.diag(evals) @ u.conj().T))
+
+
+def test_hermitian_eigenvalues_recover_known_spectra():
     rng = np.random.default_rng(23)
     for n in (2, 3, 4, 6, 9):
         for _ in range(20):
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            h = (z + z.conj().T) / 2
-            got = hermitian_eigenvalues(Operator(h))
-            expect = np.sort(np.linalg.eigvalsh(h))[::-1]
-            assert np.allclose(got, expect, atol=1e-11)
+            evals = rng.standard_normal(n)
+            got = hermitian_eigenvalues(_known_spectrum(evals, rng))
+            assert np.allclose(got, np.sort(evals)[::-1], atol=1e-11)
 
 
-def test_jacobi_handles_degenerate_spectra():
+def test_hermitian_eigenvalues_handle_degenerate_spectra():
     rng = np.random.default_rng(29)
     for _ in range(10):
-        u = random_unitary(4, rng).entries
-        h = u @ np.diag([0.5, 0.5, 0.0, 0.0]) @ u.conj().T
-        got = hermitian_eigenvalues(Operator(h))
+        got = hermitian_eigenvalues(_known_spectrum([0.5, 0.0, 0.5, 0.0], rng))
         assert np.allclose(got, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
 
-def test_jacobi_accepts_diagonal_and_one_by_one():
+def test_hermitian_eigenvalues_accept_diagonal_and_one_by_one():
     assert np.allclose(
         hermitian_eigenvalues(Operator(np.diag([1.0, 3.0, 2.0]).astype(complex))),
         [3.0, 2.0, 1.0],
@@ -230,18 +231,25 @@ def test_jacobi_accepts_diagonal_and_one_by_one():
     assert np.allclose(hermitian_eigenvalues(Operator(np.array([[4.0 + 0j]]))), [4.0])
 
 
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(ValueError):
+def test_hermitian_eigenvalues_reject_non_hermitian():
+    with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigenvalues(Operator(np.array([[0, 1], [0, 0]], dtype=complex)))
+    with pytest.raises(ValueError, match="not square"):
+        hermitian_eigenvalues(Operator(np.zeros((2, 3), dtype=complex)))
 
 
-def test_jacobi_scales_stopping_criterion_with_norm():
+def test_hermitian_eigenvalues_of_large_norm_matrix():
     rng = np.random.default_rng(31)
-    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = 1e6 * (z + z.conj().T) / 2
-    got = hermitian_eigenvalues(Operator(h))
-    expect = np.sort(np.linalg.eigvalsh(h))[::-1]
-    assert np.allclose(got, expect, rtol=1e-12, atol=1e-6)
+    evals = rng.standard_normal(5)
+    got = hermitian_eigenvalues(_known_spectrum(evals, rng, scale=1e6))
+    assert np.allclose(got, 1e6 * np.sort(evals)[::-1], rtol=1e-12, atol=1e-6)
+
+
+def test_hermitian_eigenvalues_have_no_size_cap():
+    rng = np.random.default_rng(37)
+    evals = rng.standard_normal(40)
+    got = hermitian_eigenvalues(_known_spectrum(evals, rng))
+    assert np.allclose(got, np.sort(evals)[::-1], atol=1e-11)
 
 
 def test_gram_matrix_values():
