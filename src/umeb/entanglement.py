@@ -140,11 +140,6 @@ def schmidt_coefficients(v: Ket, cut: Bipartition, unit_tol: float = 1e-10) -> S
     return SchmidtSpectrum(np.sqrt(np.clip(evals, 0.0, None)), cut)
 
 
-def schmidt_number(v: Ket, cut: Bipartition, tol: float = 1e-10) -> int:
-    """Count of Schmidt coefficients above ``tol``."""
-    return int(np.sum(schmidt_coefficients(v, cut).coefficients > tol))
-
-
 def cut_residual(v: Ket, cut: Bipartition, pred: Predicate) -> float:
     """Distance of one cut's reduced state from the predicate's target.
 
@@ -190,29 +185,12 @@ def defect(v: Ket, pred: Predicate) -> float:
     differentiable everywhere, which is what the optimizer needs.
     CutRestricted(d) penalizes the squared Schmidt coefficients mu_i:
     sum of (mu_i - 1/d)^2 over the top d plus sum of mu_i^2 over the rest.
+    Evaluated by the kernel of :func:`defect_coords_batch`, as a block of
+    one row.
     """
     if not v.is_unit(1e-10):
         raise ValueError(f"ket is not normalized (norm {v.norm():.6g})")
-    cuts = predicate_cuts(pred, v.shape)
-    if isinstance(pred, Strict):
-        total = 0.0
-        for cut in cuts:
-            rho = partial_trace(v, cut).entries
-            da = cut.dim_a
-            total += float(np.sum(np.abs(rho - np.eye(da) / da) ** 2))
-        return total
-    if isinstance(pred, GhzType):
-        total = 0.0
-        for cut in cuts:
-            rho = partial_trace(v, cut).entries
-            x = rho @ rho - rho / pred.d
-            total += float(np.sum(np.abs(x) ** 2))
-        return total
-    if isinstance(pred, CutRestricted):
-        mu = schmidt_coefficients(v, cuts[0]).coefficients ** 2
-        top, rest = mu[: pred.d], mu[pred.d :]
-        return float(np.sum((top - 1.0 / pred.d) ** 2) + np.sum(rest**2))
-    raise TypeError(f"unknown predicate {pred!r}")
+    return float(_defect_block(v.amps[None, :], pred, v.shape, _cut_plan(pred, v.shape))[0])
 
 
 # --- coordinate form used by the unextendibility search ------------------
@@ -225,14 +203,8 @@ def defect(v: Ket, pred: Predicate) -> float:
 
 def coords_to_ket(w: np.ndarray, frame: Sequence[Ket]) -> Ket:
     """Decode coordinates into the normalized ket they represent."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.size != 2 * len(frame):
-        raise ValueError(f"expected {2 * len(frame)} coordinates, got {w.size}")
-    amps = (w[0::2] + 1j * w[1::2]) @ stack_amps(frame)
-    nrm = np.linalg.norm(amps)
-    if nrm <= 1e-6:
-        raise ValueError("coordinates encode a near-zero vector")
-    return Ket(frame[0].shape, amps / nrm)
+    _, psi, _ = next(_coord_blocks(_coord_rows(np.ravel(w), frame), stack_amps(frame)))
+    return Ket(frame[0].shape, psi[0])
 
 
 def defect_coords(w: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> float:
@@ -270,14 +242,13 @@ def _cut_plan(pred: Predicate, shape) -> tuple[tuple[tuple[int, ...], int, int],
 def defect_coords_batch(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.ndarray:
     """Defect of many coordinate vectors at once (rows of ``W``).
 
-    Vectorized twin of :func:`defect` on the coordinate encoding; the
+    :func:`defect` on the coordinate encoding, one row per vector; the
     search calls this in batches for objective values, and
     :func:`defect_gradient` for its probes when given a finite-difference
     ``step``.  Rows are evaluated in blocks of ``_BLOCK_AMPS //
     shape.total`` rows, so the temporaries stay bounded for any batch
     size; every row must encode a vector of norm above 1e-6.  For
-    CutRestricted the batched spectra come from LAPACK ``eigvalsh``; the
-    test suite cross-checks them against the scalar route.
+    CutRestricted the batched spectra come from LAPACK ``eigvalsh``.
     """
     W = _coord_rows(W, frame)
     shape = frame[0].shape

@@ -20,8 +20,6 @@ import numpy as np
 
 #: Numerical rank / linear-independence tolerance.
 RANK_TOL = 1e-10
-#: Orthogonality residual tolerance.
-ORTHO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,22 +106,6 @@ class Operator:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        if self.rows != self.cols:
-            return False
-        gram = self.entries.conj().T @ self.entries
-        return float(np.abs(gram - np.eye(self.rows)).max()) <= tol
-
-    def is_density(self, tol: float = 1e-10) -> bool:
-        if self.rows != self.cols:
-            return False
-        if float(np.abs(self.entries - self.entries.conj().T).max()) > tol:
-            return False
-        if abs(float(np.trace(self.entries).real) - 1.0) > tol:
-            return False
-        evals = hermitian_eigenvalues(self)
-        return evals[-1] >= -tol
 
 
 @dataclass(frozen=True)
@@ -224,13 +206,6 @@ def inner(a: Ket, b: Ket) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def density(v: Ket, unit_tol: float = 1e-10) -> Operator:
-    """Rank-one density matrix ``|v><v|`` of a unit ket."""
-    if not v.is_unit(unit_tol):
-        raise ValueError(f"ket is not normalized (norm {v.norm():.6g})")
-    return Operator(np.outer(v.amps, v.amps.conj()))
-
-
 def partial_trace(v: Ket, cut: Bipartition, unit_tol: float = 1e-10) -> Operator:
     """Reduced state of a unit ket on ``cut.sites``.
 
@@ -287,54 +262,25 @@ def numerical_rank(vs: Sequence[Ket], rank_tol: float = RANK_TOL) -> int:
 def orthonormal_complement(vs: Sequence[Ket], rank_tol: float = RANK_TOL) -> list[Ket]:
     """Orthonormal basis of the orthogonal complement of ``span(vs)``.
 
-    Modified Gram-Schmidt with pivoting: the input kets are orthonormalized
-    first (a linearly dependent list is an error), then standard basis
-    vectors are deflated against everything accepted so far and extracted
-    largest-residual-first, with one reorthogonalization pass each.  Output
-    length is ``total - len(vs)`` and every output is orthogonal to every
-    input to roughly machine precision.
+    One complete QR of the kets as columns: the trailing ``total -
+    len(vs)`` columns of Q are the complement.  A linearly dependent list
+    is an error, read from R: ``|R_jj|`` is the distance of ``v_j`` from
+    the span of the kets before it, and must exceed ``rank_tol *
+    max(1, |v_j|)``.
     """
     if not vs:
         raise ValueError("complement of an empty list; pass the spanning kets")
     shape = vs[0].shape
     if any(v.shape != shape for v in vs):
         raise ValueError("kets must share one shape")
-    total = shape.total
-
-    frame: list[np.ndarray] = []
-    rejected = 0
-    for v in vs:
-        u = v.amps.copy()
-        for _ in range(2):
-            for q in frame:
-                u -= np.vdot(q, u) * q
-        nrm = np.linalg.norm(u)
-        if nrm <= rank_tol * max(1.0, v.norm()):
-            rejected += 1
-            continue
-        frame.append(u / nrm)
-    if rejected:
-        raise ValueError(
-            f"input kets are linearly dependent: numerical rank {len(frame)} "
-            f"of {len(vs)}"
-        )
-
-    resid = np.eye(total, dtype=np.complex128)
-    for q in frame:
-        resid -= np.outer(resid @ q.conj(), q)
-
-    comp: list[np.ndarray] = []
-    for _ in range(total - len(vs)):
-        idx = int(np.argmax(np.linalg.norm(resid, axis=1)))
-        u = resid[idx].copy()
-        for q in frame:
-            u -= np.vdot(q, u) * q
-        for q in comp:
-            u -= np.vdot(q, u) * q
-        u /= np.linalg.norm(u)
-        comp.append(u)
-        resid -= np.outer(resid @ u.conj(), u)
-    return [Ket(shape, u) for u in comp]
+    cols = stack_amps(vs).T + 0.0  # -0.0 becomes 0.0; its sign would flip reflections
+    q, r = np.linalg.qr(cols, mode="complete")
+    resid = np.abs(np.diagonal(r))
+    norms = np.linalg.norm(cols, axis=0)[: resid.size]
+    rank = int(np.sum(resid > rank_tol * np.maximum(1.0, norms)))
+    if rank < len(vs):
+        raise ValueError(f"input kets are linearly dependent: numerical rank {rank} of {len(vs)}")
+    return [Ket(shape, u) for u in q[:, len(vs) :].T]
 
 
 def random_unit_ket(shape: SystemShape, rng: np.random.Generator) -> Ket:

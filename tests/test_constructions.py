@@ -37,7 +37,7 @@ from umeb.verify import check_completeness, check_orthonormal, set_match_distanc
 def test_pauli_matrices():
     for k in range(4):
         sig = pauli(k)
-        assert sig.is_unitary(1e-15)
+        assert np.max(np.abs(sig.entries.conj().T @ sig.entries - np.eye(2))) <= 1e-15
         assert np.allclose(
             (sig.entries @ sig.entries), np.eye(2), atol=1e-15
         )

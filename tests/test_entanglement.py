@@ -24,7 +24,6 @@ from umeb.entanglement import (
     predicate_cuts,
     predicate_label,
     schmidt_coefficients,
-    schmidt_number,
 )
 from umeb.hilbert import (
     Bipartition,
@@ -84,13 +83,6 @@ def test_schmidt_spectrum_same_on_both_cut_orientations():
     b = schmidt_coefficients(v, Bipartition(shape, (0, 2))).coefficients
     assert np.allclose(a, b[: a.size], atol=1e-11)
     assert np.allclose(b[a.size :], 0.0, atol=1e-11)
-
-
-def test_schmidt_number():
-    v = bell22()
-    assert schmidt_number(v, Bipartition(v.shape, (0,))) == 2
-    p = kron(basis_ket(SystemShape((2,)), (0,)), basis_ket(SystemShape((2,)), (0,)))
-    assert schmidt_number(p, Bipartition(p.shape, (0,))) == 1
 
 
 def test_predicate_validation():
@@ -225,9 +217,25 @@ def test_coords_roundtrip_and_validation():
         coords_to_ket(np.ones(3), frame)
 
 
+def _einsum_defect(amps, pred):
+    # independent route for 2x3x3: reduced states by einsum, one string per
+    # single-site cut, and the cut1 spectrum from eigvalsh
+    t = amps.reshape(2, 3, 3)
+    rhos = {
+        (0,): np.einsum("ijk,ljk->il", t, t.conj()),
+        (1,): np.einsum("ijk,ilk->jl", t, t.conj()),
+        (2,): np.einsum("ijk,ijl->kl", t, t.conj()),
+    }
+    if isinstance(pred, Strict):
+        return sum(np.sum(np.abs(r - np.eye(len(r)) / len(r)) ** 2) for r in rhos.values())
+    if isinstance(pred, GhzType):
+        return sum(np.sum(np.abs(r @ r - r / pred.d) ** 2) for r in rhos.values())
+    mu = np.linalg.eigvalsh(rhos[pred.cut.sites])[::-1]
+    return np.sum((mu[: pred.d] - 1 / pred.d) ** 2) + np.sum(mu[pred.d :] ** 2)
+
+
 def test_defect_coords_agrees_with_scalar_defect():
-    # two independent evaluation routes: partial_trace + hermitian_eigenvalues
-    # on kets vs the batched reshape/matmul path on coordinates
+    # both forms share one kernel, so each is checked against the oracle
     rng = np.random.default_rng(43)
     fam = umeb_2x3x3_first()
     frame = orthonormal_complement(fam.kets)
@@ -238,9 +246,9 @@ def test_defect_coords_agrees_with_scalar_defect():
         w /= np.linalg.norm(w)
         ket = coords_to_ket(w, frame)
         for pred in preds:
-            assert defect_coords(w, pred, frame) == pytest.approx(
-                defect(ket, pred), abs=1e-11
-            )
+            expect = _einsum_defect(ket.amps, pred)
+            assert defect_coords(w, pred, frame) == pytest.approx(expect, abs=1e-12)
+            assert defect(ket, pred) == pytest.approx(expect, abs=1e-12)
 
 
 def test_defect_coords_batch_matches_loop():
