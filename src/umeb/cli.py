@@ -19,6 +19,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -80,50 +81,60 @@ def predicate_from_flag(flag: str, shape: SystemShape) -> Predicate:
     raise CliError(f"unknown predicate {flag!r}; choose from {', '.join(PREDICATE_FLAGS)}")
 
 
-# --- basis file serialization -------------------------------------------
+# --- JSON output ----------------------------------------------------------
 
 
-def _f17(x: float) -> str:
-    # canonicalize -0.0: "%.17g" would print "-0", which JSON reads back
-    # as integer zero and the sign would not survive a round trip anyway
-    return "%.17g" % (x + 0.0 if x != 0.0 else 0.0)
+def _encode(x) -> str:
+    """One JSON value on one line.
+
+    Floats get 17 significant digits, so they round-trip float64 exactly;
+    ``+ 0.0`` writes -0.0 as 0, which JSON would read back as an integer
+    anyway.  Complex numbers are ``[re, im]`` pairs and a ket is its
+    amplitude list.  A :class:`SearchConfig` is written by ``json``, as its
+    settings were given (``0.1``, ``1e-09``).
+    """
+    if isinstance(x, float):
+        return "%.17g" % (x + 0.0)
+    if isinstance(x, complex):
+        return f"[{_encode(x.real)}, {_encode(x.imag)}]"
+    if isinstance(x, Ket):
+        x = x.amps
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_encode(v) for v in x) + "]"
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_encode(v)}" for k, v in x.items()) + "}"
+    if isinstance(x, SearchConfig):
+        return json.dumps(dataclasses.asdict(x))
+    return json.dumps(x)
 
 
-def _amps_json(amps: np.ndarray) -> str:
-    return "[" + ", ".join(f"[{_f17(z.real)}, {_f17(z.imag)}]" for z in amps) + "]"
-
-
-def _terms_json(dv: DecomposedVector) -> str:
-    if dv.terms is None:
-        return "null"
-    grouping = json.dumps([list(g) for g in dv.grouping])
-    products = ", ".join(
-        '{"coefficient": %s, "factors": [%s]}'
-        % (_f17(t.coefficient), ", ".join(_amps_json(f.amps) for f in t.factors))
-        for t in dv.terms
-    )
-    return '{"grouping": %s, "products": [%s]}' % (grouping, products)
+def _layout(fields: dict, rows: Sequence[str] = ()) -> str:
+    """A JSON object, one field per line; the lists in ``rows`` one item per line."""
+    lines = []
+    for key, value in fields.items():
+        if key in rows:
+            text = "[\n" + ",\n".join("    " + _encode(v) for v in value) + "\n  ]"
+        else:
+            text = _encode(value)
+        lines.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def basis_file_text(basis: LabeledBasis) -> str:
     """Deterministic JSON text for a basis (one vector per line)."""
-    lines = [
-        "{",
-        '  "name": %s,' % json.dumps(basis.name),
-        '  "shape": %s,' % json.dumps(list(basis.shape.dims)),
-        '  "vectors": [',
+    terms = [
+        None
+        if dv.terms is None
+        else {
+            "grouping": dv.grouping,
+            "products": [{"coefficient": t.coefficient, "factors": t.factors} for t in dv.terms],
+        }
+        for dv in basis.vectors
     ]
-    for i, dv in enumerate(basis.vectors):
-        comma = "," if i + 1 < len(basis.vectors) else ""
-        lines.append("    " + _amps_json(dv.vector.amps) + comma)
-    lines.append("  ],")
-    lines.append('  "terms": [')
-    for i, dv in enumerate(basis.vectors):
-        comma = "," if i + 1 < len(basis.vectors) else ""
-        lines.append("    " + _terms_json(dv) + comma)
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _layout(
+        {"name": basis.name, "shape": basis.shape.dims, "vectors": basis.kets, "terms": terms},
+        rows=("vectors", "terms"),
+    )
 
 
 def _as_amps(raw, what: str) -> np.ndarray:
@@ -201,12 +212,15 @@ def load_basis_file(path: str) -> LabeledBasis:
                     rp.get("coefficient"), (int, float)
                 ):
                     raise CliError(f"{path}: terms[{i}] product {k} is malformed")
-                factors = []
-                for g_idx, g in enumerate(grouping):
-                    f_amps = _as_amps(
-                        (rp.get("factors") or [None] * len(grouping))[g_idx],
-                        f"{path}: terms[{i}] product {k} factor {g_idx}",
+                raw_factors = rp.get("factors")
+                if not isinstance(raw_factors, list) or len(raw_factors) != len(grouping):
+                    raise CliError(
+                        f"{path}: terms[{i}] product {k}: factors must be a list "
+                        f"of {len(grouping)}, one per group"
                     )
+                factors = []
+                for g_idx, (g, raw_f) in enumerate(zip(grouping, raw_factors)):
+                    f_amps = _as_amps(raw_f, f"{path}: terms[{i}] product {k} factor {g_idx}")
                     try:
                         factors.append(Ket(_group_shape(shape, g), f_amps))
                     except (ValueError, IndexError) as e:
@@ -340,35 +354,20 @@ def cmd_overlap(args) -> int:
 def search_json_text(
     basis: LabeledBasis, flag: str, result, cfg: SearchConfig
 ) -> str:
-    cfg_json = json.dumps(
+    return _layout(
         {
-            "restarts": cfg.restarts,
-            "max_iters": cfg.max_iters,
-            "step": cfg.step,
-            "shrink": cfg.shrink,
-            "grad_tol": cfg.grad_tol,
-            "seed": cfg.seed,
+            "basis": basis.name,
+            "shape": basis.shape.dims,
+            "predicate": flag,
+            "config": cfg,
+            "complement_dim": result.complement_dim,
+            "min_defect": result.min_defect,
+            "verdict": result.verdict,
+            "per_restart_minima": result.per_restart_minima,
+            "argmin": result.argmin,
+            "witness": result.witness,
         }
     )
-    min_defect = "null" if result.min_defect is None else _f17(result.min_defect)
-    argmin = "null" if result.argmin is None else _amps_json(result.argmin.amps)
-    witness = "null" if result.witness is None else _amps_json(result.witness.amps)
-    minima = "[" + ", ".join(_f17(m) for m in result.per_restart_minima) + "]"
-    lines = [
-        "{",
-        '  "basis": %s,' % json.dumps(basis.name),
-        '  "shape": %s,' % json.dumps(list(basis.shape.dims)),
-        '  "predicate": %s,' % json.dumps(flag),
-        '  "config": %s,' % cfg_json,
-        '  "complement_dim": %d,' % result.complement_dim,
-        '  "min_defect": %s,' % min_defect,
-        '  "verdict": %s,' % json.dumps(result.verdict),
-        '  "per_restart_minima": %s,' % minima,
-        '  "argmin": %s,' % argmin,
-        '  "witness": %s' % witness,
-        "}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def cmd_search(args) -> int:

@@ -75,6 +75,8 @@ class DecomposedVector:
         if sorted(sites) != list(range(shape.nsys)):
             raise ValueError(f"grouping {self.grouping} does not partition {shape}")
         coeffs = [t.coefficient for t in self.terms]
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError("term coefficients must be finite")
         if any(c <= 0 for c in coeffs):
             raise ValueError("term coefficients must be positive")
         if any(b > a + 1e-12 for a, b in zip(coeffs, coeffs[1:])):
@@ -104,19 +106,17 @@ class DecomposedVector:
 
 @dataclass(frozen=True, eq=False)
 class LabeledBasis:
-    """A named, labeled list of unit vectors with claimed properties.
+    """A named, labeled list of unit vectors.
 
-    ``claimed`` records what the construction promises -- e.g.
-    ``orthonormal``, ``complete``, ``unextendible``,
-    ``maximally_entangled(ghz2)`` -- for the verifier to check; nothing
-    here is taken on faith elsewhere.
+    What a construction promises (orthonormal, complete, unextendible,
+    maximally entangled) is for :mod:`umeb.verify` to check; nothing here
+    is taken on faith.
     """
 
     name: str
     shape: SystemShape
     labels: tuple[str, ...]
     vectors: tuple[DecomposedVector, ...]
-    claimed: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if not self.vectors:
@@ -200,14 +200,6 @@ def meb8() -> LabeledBasis:
         shape=shape,
         labels=tuple(f"phi{i}" for i in range(1, 9)),
         vectors=tuple(vectors),
-        claimed=frozenset(
-            {
-                "orthonormal",
-                "complete",
-                "maximally_entangled(strict)",
-                "maximally_entangled(ghz2)",
-            }
-        ),
     )
 
 
@@ -269,7 +261,6 @@ def _bipartite_family(name: str, labels: tuple[str, ...], b0: Ket, b1: Ket) -> L
         shape=shape,
         labels=labels,
         vectors=tuple(vectors),
-        claimed=frozenset({"orthonormal", "unextendible", "maximally_entangled(ghz2)"}),
     )
 
 
@@ -335,7 +326,6 @@ def lift_umeb(base: LabeledBasis, d3: int) -> LabeledBasis:
         shape=shape,
         labels=tuple(labels),
         vectors=tuple(vectors),
-        claimed=frozenset({"orthonormal", "unextendible", "maximally_entangled(ghz2)"}),
     )
 
 
@@ -369,7 +359,6 @@ def _tripartite_family(
         shape=shape,
         labels=tuple(labels),
         vectors=tuple(vectors),
-        claimed=frozenset({"orthonormal", "unextendible", "maximally_entangled(ghz2)"}),
     )
 
 
@@ -398,9 +387,6 @@ def _ghz3_basis() -> LabeledBasis:
         shape=g.vector.shape,
         labels=("ghz",),
         vectors=(g,),
-        claimed=frozenset(
-            {"orthonormal", "maximally_entangled(strict)", "maximally_entangled(ghz2)"}
-        ),
     )
 
 

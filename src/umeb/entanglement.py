@@ -129,13 +129,13 @@ def _small_side(cut: Bipartition) -> Bipartition:
     return Bipartition(cut.shape, cut.other_sites)
 
 
-def schmidt_coefficients(v: Ket, cut: Bipartition, unit_tol: float = 1e-10) -> SchmidtSpectrum:
+def schmidt_coefficients(v: Ket, cut: Bipartition) -> SchmidtSpectrum:
     """Schmidt coefficients of a unit ket across a cut, descending.
 
     Square roots of the reduced-state eigenvalues, computed on whichever
     side of the cut is smaller (the nonzero spectrum is the same on both).
     """
-    rho = partial_trace(v, _small_side(cut), unit_tol)
+    rho = partial_trace(v, _small_side(cut))
     evals = hermitian_eigenvalues(rho)
     return SchmidtSpectrum(np.sqrt(np.clip(evals, 0.0, None)), cut)
 

@@ -99,14 +99,6 @@ class Operator:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -165,34 +157,25 @@ def all_bipartitions(shape: SystemShape) -> list[Bipartition]:
     return cuts
 
 
-def kron(a: Ket | Operator, b: Ket | Operator) -> Ket | Operator:
-    """Tensor product of two kets or two operators (big-endian ordering)."""
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        shape = SystemShape(a.shape.dims + b.shape.dims)
-        return Ket(shape, np.kron(a.amps, b.amps))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.entries, b.entries))
-    raise TypeError(
-        f"kron operands must be two kets or two operators, "
-        f"got {type(a).__name__} and {type(b).__name__}"
-    )
+def kron(a: Ket, b: Ket) -> Ket:
+    """Tensor product of two kets (big-endian ordering)."""
+    return Ket(SystemShape(a.shape.dims + b.shape.dims), np.kron(a.amps, b.amps))
 
 
 def apply_local(ops: Sequence[Operator], v: Ket) -> Ket:
     """Apply ``(U_1 (x) ... (x) U_k) |v>`` one subsystem at a time.
 
-    Equivalent to building the full tensor product with :func:`kron` and
-    multiplying, but contracts each factor along its own axis instead of
-    materializing the big matrix.
+    Equivalent to multiplying by the full tensor product of the operators,
+    but contracts each factor along its own axis instead of materializing
+    the big matrix.
     """
     dims = v.shape.dims
     if len(ops) != len(dims):
         raise ValueError(f"need {len(dims)} operators, got {len(ops)}")
     for i, (op, d) in enumerate(zip(ops, dims)):
-        if op.rows != d or op.cols != d:
-            raise ValueError(
-                f"operator {i} is {op.rows}x{op.cols}, subsystem has dimension {d}"
-            )
+        if op.entries.shape != (d, d):
+            rows, cols = op.entries.shape
+            raise ValueError(f"operator {i} is {rows}x{cols}, subsystem has dimension {d}")
     t = v.amps.reshape(dims)
     for i, op in enumerate(ops):
         t = np.moveaxis(np.tensordot(op.entries, t, axes=(1, i)), 0, i)
@@ -206,7 +189,7 @@ def inner(a: Ket, b: Ket) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def partial_trace(v: Ket, cut: Bipartition, unit_tol: float = 1e-10) -> Operator:
+def partial_trace(v: Ket, cut: Bipartition) -> Operator:
     """Reduced state of a unit ket on ``cut.sites``.
 
     Groups the amplitudes into a dim(A) x dim(B) coefficient matrix M and
@@ -214,7 +197,7 @@ def partial_trace(v: Ket, cut: Bipartition, unit_tol: float = 1e-10) -> Operator
     """
     if cut.shape != v.shape:
         raise ValueError(f"cut is over {cut.shape}, ket is over {v.shape}")
-    if not v.is_unit(unit_tol):
+    if not v.is_unit():
         raise ValueError(f"ket is not normalized (norm {v.norm():.6g})")
     m = coefficient_matrix(v, cut)
     return Operator(m @ m.conj().T)
@@ -226,15 +209,15 @@ def coefficient_matrix(v: Ket, cut: Bipartition) -> np.ndarray:
     return np.transpose(t, cut.sites + cut.other_sites).reshape(cut.dim_a, cut.dim_b)
 
 
-def hermitian_eigenvalues(m: Operator, herm_tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(m: Operator) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, descending (LAPACK ``eigvalsh``).
 
-    The matrix must be square and Hermitian within ``herm_tol``.
+    The matrix must be square and Hermitian within 1e-10.
     """
     a = m.entries
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if float(np.abs(a - a.conj().T).max()) > herm_tol:
+    if float(np.abs(a - a.conj().T).max()) > 1e-10:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(a)[::-1]
 
@@ -250,22 +233,22 @@ def gram_matrix(vs: Sequence[Ket]) -> Operator:
     return Operator(stacked.conj() @ stacked.T)
 
 
-def numerical_rank(vs: Sequence[Ket], rank_tol: float = RANK_TOL) -> int:
-    """Rank of the stacked ket list: singular values above ``rank_tol``."""
+def numerical_rank(vs: Sequence[Ket]) -> int:
+    """Rank of the stacked ket list: singular values above ``RANK_TOL``."""
     if not vs:
         return 0
     stacked = np.array([v.amps for v in vs])
     svals = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(svals > rank_tol))
+    return int(np.sum(svals > RANK_TOL))
 
 
-def orthonormal_complement(vs: Sequence[Ket], rank_tol: float = RANK_TOL) -> list[Ket]:
+def orthonormal_complement(vs: Sequence[Ket]) -> list[Ket]:
     """Orthonormal basis of the orthogonal complement of ``span(vs)``.
 
     One complete QR of the kets as columns: the trailing ``total -
     len(vs)`` columns of Q are the complement.  A linearly dependent list
     is an error, read from R: ``|R_jj|`` is the distance of ``v_j`` from
-    the span of the kets before it, and must exceed ``rank_tol *
+    the span of the kets before it, and must exceed ``RANK_TOL *
     max(1, |v_j|)``.
     """
     if not vs:
@@ -277,7 +260,7 @@ def orthonormal_complement(vs: Sequence[Ket], rank_tol: float = RANK_TOL) -> lis
     q, r = np.linalg.qr(cols, mode="complete")
     resid = np.abs(np.diagonal(r))
     norms = np.linalg.norm(cols, axis=0)[: resid.size]
-    rank = int(np.sum(resid > rank_tol * np.maximum(1.0, norms)))
+    rank = int(np.sum(resid > RANK_TOL * np.maximum(1.0, norms)))
     if rank < len(vs):
         raise ValueError(f"input kets are linearly dependent: numerical rank {rank} of {len(vs)}")
     return [Ket(shape, u) for u in q[:, len(vs) :].T]

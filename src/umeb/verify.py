@@ -27,7 +27,6 @@ from .entanglement import (
     predicate_label,
 )
 from .hilbert import (
-    RANK_TOL,
     Ket,
     gram_matrix,
     numerical_rank,
@@ -45,16 +44,16 @@ class CompletenessCheck(NamedTuple):
     complete: bool
 
 
-def check_orthonormal(basis: LabeledBasis, tol: float = 1e-12) -> OrthonormalityCheck:
-    """Max deviation of the Gram matrix from the identity."""
+def check_orthonormal(basis: LabeledBasis) -> OrthonormalityCheck:
+    """Max deviation of the Gram matrix from the identity; ok up to 1e-12."""
     g = gram_matrix(basis.kets).entries
     residual = float(np.max(np.abs(g - np.eye(len(basis)))))
-    return OrthonormalityCheck(residual <= tol, residual)
+    return OrthonormalityCheck(residual <= 1e-12, residual)
 
 
-def check_completeness(basis: LabeledBasis, rank_tol: float = RANK_TOL) -> CompletenessCheck:
+def check_completeness(basis: LabeledBasis) -> CompletenessCheck:
     """Numerical rank of the span versus the full space dimension."""
-    rank = numerical_rank(basis.kets, rank_tol)
+    rank = numerical_rank(basis.kets)
     return CompletenessCheck(rank, rank == basis.shape.total)
 
 
@@ -161,10 +160,6 @@ class UnextendibilityResult:
     per_restart_minima: tuple[float, ...]
     verdict: str
     witness: Optional[Ket]
-
-    @property
-    def predicate_name(self) -> str:
-        return predicate_label(self.predicate)
 
 
 def unextendibility_search(
@@ -336,7 +331,6 @@ def full_report(
     basis: LabeledBasis,
     preds: Sequence[Predicate],
     cfg: Optional[SearchConfig] = None,
-    me_tol: float = 1e-8,
 ) -> BasisReport:
     """Orthonormality, completeness, per-vector entanglement, and searches.
 
@@ -352,7 +346,7 @@ def full_report(
         per_vector = []
         all_ok = True
         for lab, ket in zip(basis.labels, basis.kets):
-            chk = is_maximally_entangled(ket, pred, me_tol)
+            chk = is_maximally_entangled(ket, pred)
             per_vector.append((lab, chk.max_residual))
             all_ok = all_ok and chk.ok
         search = unextendibility_search(basis, pred, cfg) if independent else None

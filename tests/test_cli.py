@@ -2,12 +2,18 @@
 output, and the demo run, all through ``main``."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from umeb.cli import basis_file_text, load_basis_file, main
-from umeb.constructions import meb8, named_basis, umeb_2x3x3_first
+from umeb.cli import basis_file_text, load_basis_file, main, search_json_text
+from umeb.constructions import basis_names, meb8, named_basis, umeb_2x3_type1, umeb_2x3x3_first
+from umeb.entanglement import GhzType, Strict
+from umeb.hilbert import Ket, SystemShape
+from umeb.verify import SearchConfig, UnextendibilityResult
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
 
 def run(capsys, *argv):
@@ -201,3 +207,74 @@ def test_usage_errors_exit_one(capsys):
 def test_basis_file_text_uses_17_significant_digits():
     text = basis_file_text(meb8())
     assert "0.70710678118654746" in text
+
+
+@pytest.mark.parametrize("name", basis_names())
+def test_export_matches_golden_bytes(capsys, name):
+    code, out, _ = run(capsys, "export", name)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"export-{name}.json").read_bytes()
+
+
+def test_search_json_layout_is_pinned():
+    # -0.0 is written as 0; floats get 17 digits, config keeps its settings' reprs
+    argmin = Ket(SystemShape((2, 3)), [complex(-0.0, 0.6), complex(0.8, -0.0), 0.1, -1 / 3, 0, 0])
+    res = UnextendibilityResult(
+        predicate=GhzType(2),
+        complement_dim=2,
+        min_defect=0.25000000000000006,
+        argmin=argmin,
+        per_restart_minima=(0.25000000000000006, 0.5),
+        verdict="unextendible",
+        witness=None,
+    )
+    assert search_json_text(umeb_2x3_type1(), "ghz2", res, SearchConfig(restarts=2, seed=7)) == (
+        '{\n  "basis": "umeb-2x3-1",\n  "shape": [2, 3],\n  "predicate": "ghz2",\n'
+        '  "config": {"restarts": 2, "max_iters": 2000, "step": 0.1, "shrink": 0.5, '
+        '"grad_tol": 1e-09, "seed": 7},\n  "complement_dim": 2,\n'
+        '  "min_defect": 0.25000000000000006,\n  "verdict": "unextendible",\n'
+        '  "per_restart_minima": [0.25000000000000006, 0.5],\n'
+        '  "argmin": [[0, 0.59999999999999998], [0.80000000000000004, 0], '
+        "[0.10000000000000001, 0], [-0.33333333333333331, 0], [0, 0], [0, 0]],\n"
+        '  "witness": null\n}\n'
+    )
+    res = UnextendibilityResult(
+        predicate=Strict(),
+        complement_dim=0,
+        min_defect=None,
+        argmin=None,
+        per_restart_minima=(),
+        verdict="complete",
+        witness=None,
+    )
+    assert search_json_text(meb8(), "strict", res, SearchConfig()) == (
+        '{\n  "basis": "meb8",\n  "shape": [2, 2, 2],\n  "predicate": "strict",\n'
+        '  "config": {"restarts": 32, "max_iters": 2000, "step": 0.1, "shrink": 0.5, '
+        '"grad_tol": 1e-09, "seed": 0},\n  "complement_dim": 0,\n  "min_defect": null,\n'
+        '  "verdict": "complete",\n  "per_restart_minima": [],\n  "argmin": null,\n'
+        '  "witness": null\n}\n'
+    )
+
+
+def test_load_rejects_factors_that_do_not_match_grouping(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    data = json.loads(basis_file_text(umeb_2x3_type1()))
+    product = data["terms"][1]["products"][0]
+    for factors in (product["factors"][:1], 7):  # one short, not a list
+        product["factors"] = factors
+        path.write_text(json.dumps(data))
+        for cmd in ("verify", "search"):
+            code, _, err = run(capsys, cmd, str(path), "--restarts", "1")
+            assert code == 1
+            assert f"{path}: terms[1] product 0: factors must be a list of 2" in err
+
+
+def test_verify_rejects_non_finite_coefficient(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    for bad in (float("nan"), float("inf")):
+        data = json.loads(basis_file_text(umeb_2x3_type1()))
+        data["terms"][2]["products"][0]["coefficient"] = bad
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(path), "--restarts", "1")
+        assert code == 1
+        assert f"{path}: vector 2: term coefficients must be finite" in err

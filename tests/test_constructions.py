@@ -60,7 +60,6 @@ def test_meb8_shape_and_labels():
     assert len(m8) == 8
     assert m8.labels == tuple(f"phi{i}" for i in range(1, 9))
     assert m8.shape.dims == (2, 2, 2)
-    assert "complete" in m8.claimed
 
 
 def test_meb8_contains_expected_vectors():
@@ -298,7 +297,6 @@ def test_registry_round_trip():
         b = named_basis(name)
         assert b.name == name
         g = gram_matrix(b.kets).entries
-        if "orthonormal" in b.claimed:
-            assert np.max(np.abs(g - np.eye(len(b)))) < 1e-12
+        assert np.max(np.abs(g - np.eye(len(b)))) < 1e-12
     with pytest.raises(ValueError, match="unknown basis"):
         named_basis("nope")

@@ -106,17 +106,12 @@ def test_all_bipartitions_canonical_orientation():
     ]
 
 
-def test_kron_kets_and_operators():
+def test_kron_of_kets():
     a = Ket(SystemShape((2,)), [1, 0])
     b = Ket(SystemShape((3,)), [0, 1, 0])
     ab = kron(a, b)
     assert ab.shape.dims == (2, 3)
     assert np.argmax(np.abs(ab.amps)) == 1
-    x = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
-    xx = kron(x, x)
-    assert xx.entries.shape == (4, 4)
-    with pytest.raises(TypeError):
-        kron(a, x)
 
 
 def test_apply_local_matches_full_kron():
