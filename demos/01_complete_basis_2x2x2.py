@@ -16,7 +16,6 @@ from umeb import (
     gram_matrix,
     is_maximally_entangled,
     meb8,
-    partial_trace,
 )
 
 basis = meb8()
@@ -29,8 +28,11 @@ rank, complete = check_completeness(basis)
 print(f"rank {rank} of {basis.shape.total}: {'complete' if complete else 'not complete'}")
 
 print("\nreduced states of the first vector (all I/2):")
+t = basis.kets[0].amps.reshape(basis.shape.dims)
 for cut in all_bipartitions(basis.shape):
-    rho = partial_trace(basis.kets[0], cut).entries
+    # amplitudes as a dim(A) x dim(B) matrix M across the cut; rho = M M^dagger
+    m = np.moveaxis(t, cut.sites, range(len(cut.sites))).reshape(cut.dim_a, cut.dim_b)
+    rho = m @ m.conj().T
     print(f"  sites {cut.sites}:")
     for row in rho:
         print("    " + "  ".join(f"{z.real:+.3f}{z.imag:+.3f}j" for z in row))

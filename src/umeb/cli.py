@@ -137,6 +137,14 @@ def basis_file_text(basis: LabeledBasis) -> str:
     )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false load as bool, an int
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def _as_amps(raw, what: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise CliError(f"{what}: expected a nonempty list of [re, im] pairs")
@@ -145,7 +153,7 @@ def _as_amps(raw, what: str) -> np.ndarray:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(p, (int, float)) for p in pair)
+            or not all(_is_number(p) for p in pair)
         ):
             raise CliError(f"{what}: entry {k} is not an [re, im] pair")
         out[k] = complex(pair[0], pair[1])
@@ -202,15 +210,12 @@ def load_basis_file(path: str) -> LabeledBasis:
             raw_products = raw_t.get("products")
             if not isinstance(raw_grouping, list) or not isinstance(raw_products, list):
                 raise CliError(f"{path}: terms[{i}] needs grouping and products")
-            try:
-                grouping = tuple(tuple(int(s) for s in g) for g in raw_grouping)
-            except (TypeError, ValueError):
-                raise CliError(f"{path}: terms[{i}]: bad grouping")
+            if not all(isinstance(g, list) and all(map(_is_int, g)) for g in raw_grouping):
+                raise CliError(f"{path}: terms[{i}]: grouping must be lists of integer sites")
+            grouping = tuple(tuple(g) for g in raw_grouping)
             prods = []
             for k, rp in enumerate(raw_products):
-                if not isinstance(rp, dict) or not isinstance(
-                    rp.get("coefficient"), (int, float)
-                ):
+                if not isinstance(rp, dict) or not _is_number(rp.get("coefficient")):
                     raise CliError(f"{path}: terms[{i}] product {k} is malformed")
                 raw_factors = rp.get("factors")
                 if not isinstance(raw_factors, list) or len(raw_factors) != len(grouping):

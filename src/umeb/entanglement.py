@@ -29,9 +29,9 @@ import numpy as np
 from .hilbert import (
     Bipartition,
     Ket,
+    Operator,
     all_bipartitions,
     hermitian_eigenvalues,
-    partial_trace,
     stack_amps,
 )
 
@@ -129,15 +129,46 @@ def _small_side(cut: Bipartition) -> Bipartition:
     return Bipartition(cut.shape, cut.other_sites)
 
 
+def _check_unit(v: Ket) -> None:
+    if not v.is_unit(1e-10):
+        raise ValueError(f"ket is not normalized (norm {v.norm():.6g})")
+
+
+def _reduced_state(v: Ket, cut: Bipartition) -> np.ndarray:
+    """Reduced state of a unit ket on ``cut.sites``, from a one-row block."""
+    if cut.shape != v.shape:
+        raise ValueError(f"cut is over {cut.shape}, ket is over {v.shape}")
+    _check_unit(v)
+    ((_, _, rho),) = _cut_blocks(v.amps[None, :], v.shape, (_cut_step(cut),))
+    return rho[0]
+
+
+def _schmidt(rho: np.ndarray) -> np.ndarray:
+    """Descending Schmidt coefficients from a reduced state."""
+    return np.sqrt(np.clip(hermitian_eigenvalues(Operator(rho)), 0.0, None))
+
+
+def _residual(rho: np.ndarray, pred: Predicate) -> float:
+    """:func:`cut_residual` from the reduced state (small side for CutRestricted)."""
+    da = rho.shape[0]
+    if isinstance(pred, Strict):
+        return float(np.linalg.norm(rho - np.eye(da) / da))
+    if isinstance(pred, GhzType):
+        spec, level = hermitian_eigenvalues(Operator(rho)), 1.0 / pred.d
+    else:
+        spec, level = _schmidt(rho), 1.0 / np.sqrt(pred.d)
+    target = np.zeros(da)
+    target[: pred.d] = level
+    return float(np.linalg.norm(spec - target))
+
+
 def schmidt_coefficients(v: Ket, cut: Bipartition) -> SchmidtSpectrum:
     """Schmidt coefficients of a unit ket across a cut, descending.
 
     Square roots of the reduced-state eigenvalues, computed on whichever
     side of the cut is smaller (the nonzero spectrum is the same on both).
     """
-    rho = partial_trace(v, _small_side(cut))
-    evals = hermitian_eigenvalues(rho)
-    return SchmidtSpectrum(np.sqrt(np.clip(evals, 0.0, None)), cut)
+    return SchmidtSpectrum(_schmidt(_reduced_state(v, _small_side(cut))), cut)
 
 
 def cut_residual(v: Ket, cut: Bipartition, pred: Predicate) -> float:
@@ -145,33 +176,22 @@ def cut_residual(v: Ket, cut: Bipartition, pred: Predicate) -> float:
 
     Strict: Frobenius norm of rho_A - I/dim(H_A).  GhzType(d): 2-norm
     distance of the sorted spectrum from (1/d, ..., 1/d, 0, ...).
-    CutRestricted(d): 2-norm distance of the Schmidt coefficients from
-    (1/sqrt(d), ..., 1/sqrt(d), 0, ...).
+    CutRestricted(d): 2-norm distance of the Schmidt coefficients, read on
+    the smaller side, from (1/sqrt(d), ..., 1/sqrt(d), 0, ...).  The
+    predicate must fit the ket's shape, as in :func:`predicate_cuts`.
     """
-    if isinstance(pred, Strict):
-        rho = partial_trace(v, cut).entries
-        da = cut.dim_a
-        return float(np.linalg.norm(rho - np.eye(da) / da))
-    if isinstance(pred, GhzType):
-        rho = partial_trace(v, cut)
-        evals = hermitian_eigenvalues(rho)
-        target = np.zeros_like(evals)
-        target[: pred.d] = 1.0 / pred.d
-        return float(np.linalg.norm(evals - target))
+    predicate_cuts(pred, v.shape)
     if isinstance(pred, CutRestricted):
-        lam = schmidt_coefficients(v, cut).coefficients
-        target = np.zeros_like(lam)
-        target[: pred.d] = 1.0 / np.sqrt(pred.d)
-        return float(np.linalg.norm(lam - target))
-    raise TypeError(f"unknown predicate {pred!r}")
+        cut = _small_side(cut)
+    return _residual(_reduced_state(v, cut), pred)
 
 
 def is_maximally_entangled(v: Ket, pred: Predicate, tol: float = 1e-8) -> EntanglementCheck:
-    """Evaluate a maximal-entanglement predicate on a unit ket."""
-    if not v.is_unit(1e-10):
-        raise ValueError(f"ket is not normalized (norm {v.norm():.6g})")
+    """Evaluate a maximal-entanglement predicate on a unit ket, per cut."""
+    _check_unit(v)
     cuts = predicate_cuts(pred, v.shape)
-    residuals = tuple((cut, cut_residual(v, cut, pred)) for cut in cuts)
+    blocks = _cut_blocks(v.amps[None, :], v.shape, _cut_plan(pred, v.shape))
+    residuals = tuple((cut, _residual(rho[0], pred)) for cut, (_, _, rho) in zip(cuts, blocks))
     return EntanglementCheck(ok=all(r < tol for _, r in residuals), residuals=residuals)
 
 
@@ -188,8 +208,7 @@ def defect(v: Ket, pred: Predicate) -> float:
     Evaluated by the kernel of :func:`defect_coords_batch`, as a block of
     one row.
     """
-    if not v.is_unit(1e-10):
-        raise ValueError(f"ket is not normalized (norm {v.norm():.6g})")
+    _check_unit(v)
     return float(_defect_block(v.amps[None, :], pred, v.shape, _cut_plan(pred, v.shape))[0])
 
 
@@ -207,36 +226,32 @@ def coords_to_ket(w: np.ndarray, frame: Sequence[Ket]) -> Ket:
     return Ket(frame[0].shape, psi[0])
 
 
-def defect_coords(w: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> float:
-    """Defect of the normalized vector encoded by coordinates ``w``."""
-    return float(defect_coords_batch(np.asarray(w, dtype=np.float64)[None, :], pred, frame)[0])
-
-
 # Complex amplitudes per kernel block.  Each block of rows builds its state
 # vectors, regrouped coefficient matrices and reduced states, so this bounds
 # the kernel's temporaries to a few hundred kilobytes whatever the batch size.
 _BLOCK_AMPS = 4096
 
 
-@functools.lru_cache(maxsize=64)
-def _cut_plan(pred: Predicate, shape) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """Per cut the predicate reads: the transpose permutation and (dim_a, dim_b).
+def _cut_step(cut: Bipartition) -> tuple[tuple[int, ...], int, int]:
+    """One cut's transpose permutation and (dim_a, dim_b).
 
     The permutation acts on a batch of state tensors (axis 0 is the row) and
-    brings the kept sites to the front.  CutRestricted reads its cut from
-    the smaller side.  Computed once per (predicate, shape); immutable.
+    brings ``cut.sites`` to the front.
+    """
+    return (0,) + tuple(s + 1 for s in cut.sites + cut.other_sites), cut.dim_a, cut.dim_b
+
+
+@functools.lru_cache(maxsize=64)
+def _cut_plan(pred: Predicate, shape) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """:func:`_cut_step` per cut the predicate reads.
+
+    CutRestricted reads its cut from the smaller side.  Computed once per
+    (predicate, shape); immutable.
     """
     cuts = predicate_cuts(pred, shape)
     if isinstance(pred, CutRestricted):
         cuts = [_small_side(cuts[0])]
-    return tuple(
-        (
-            (0,) + tuple(s + 1 for s in cut.sites) + tuple(s + 1 for s in cut.other_sites),
-            cut.dim_a,
-            cut.dim_b,
-        )
-        for cut in cuts
-    )
+    return tuple(_cut_step(cut) for cut in cuts)
 
 
 def defect_coords_batch(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.ndarray:

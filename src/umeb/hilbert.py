@@ -104,8 +104,8 @@ class Operator:
 class Bipartition:
     """A split of the subsystems into ``sites`` and their complement.
 
-    ``sites`` names the retained side: :func:`partial_trace` traces out
-    everything else and returns the reduced state on ``sites``.
+    ``sites`` names the retained side: the reduced state across the cut is
+    the state on ``sites`` after tracing out everything else.
     """
 
     shape: SystemShape
@@ -187,26 +187,6 @@ def inner(a: Ket, b: Ket) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a.amps, b.amps))
-
-
-def partial_trace(v: Ket, cut: Bipartition) -> Operator:
-    """Reduced state of a unit ket on ``cut.sites``.
-
-    Groups the amplitudes into a dim(A) x dim(B) coefficient matrix M and
-    returns ``M M^dagger``, i.e. traces out the complement of the cut.
-    """
-    if cut.shape != v.shape:
-        raise ValueError(f"cut is over {cut.shape}, ket is over {v.shape}")
-    if not v.is_unit():
-        raise ValueError(f"ket is not normalized (norm {v.norm():.6g})")
-    m = coefficient_matrix(v, cut)
-    return Operator(m @ m.conj().T)
-
-
-def coefficient_matrix(v: Ket, cut: Bipartition) -> np.ndarray:
-    """Amplitudes of ``v`` grouped as a dim(A) x dim(B) matrix across the cut."""
-    t = v.amps.reshape(v.shape.dims)
-    return np.transpose(t, cut.sites + cut.other_sites).reshape(cut.dim_a, cut.dim_b)
 
 
 def hermitian_eigenvalues(m: Operator) -> np.ndarray:

@@ -278,3 +278,39 @@ def test_verify_rejects_non_finite_coefficient(tmp_path, capsys):
         code, _, err = run(capsys, "verify", str(path), "--restarts", "1")
         assert code == 1
         assert f"{path}: vector 2: term coefficients must be finite" in err
+
+
+def test_load_rejects_grouping_that_is_not_integer_sites(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    for grouping in ([[0.9], [1.2]], [[True], [1]], ["0", [1]], [[0], {"1": 1}]):
+        data = json.loads(basis_file_text(umeb_2x3_type1()))
+        data["terms"][1]["grouping"] = grouping
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(path), "--restarts", "1")
+        assert code == 1
+        assert f"{path}: terms[1]: grouping must be lists of integer sites" in err
+
+
+def test_load_rejects_json_booleans_as_numbers(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+
+    def vector(data):  # |00> spelled with booleans
+        data["vectors"][0] = [[True, False]] + [[False, False]] * 5
+        data["terms"][0] = None
+        return "vector 0: entry 0 is not an [re, im] pair"
+
+    def factor(data):  # the qubit factor |0> spelled with booleans
+        data["terms"][0]["products"][0]["factors"][0] = [[True, False], [False, False]]
+        return "terms[0] product 0 factor 0: entry 0 is not an [re, im] pair"
+
+    def coefficient(data):
+        data["terms"][0]["products"][0]["coefficient"] = True
+        return "terms[0] product 0 is malformed"
+
+    for edit in (vector, factor, coefficient):
+        data = json.loads(basis_file_text(umeb_2x3_type1()))
+        message = edit(data)
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(path), "--restarts", "1")
+        assert code == 1
+        assert f"{path}: {message}" in err

@@ -29,7 +29,6 @@ from umeb.hilbert import (
     basis_ket,
     gram_matrix,
     inner,
-    partial_trace,
 )
 from umeb.verify import check_completeness, check_orthonormal, set_match_distance
 
@@ -155,12 +154,12 @@ def test_canonical_three_qubit_validation():
 
 def test_canonical_three_qubit_reduced_state_closed_form():
     rng = np.random.default_rng(61)
-    shape = SystemShape((2, 2, 2))
     for _ in range(50):
         lams = np.sqrt(rng.dirichlet(np.ones(5)))
         theta = rng.uniform(0, np.pi)
         v = canonical_three_qubit(lams, theta)
-        rho = partial_trace(v, Bipartition(shape, (0,))).entries
+        t = v.amps.reshape(2, 4)  # qubit 0 against qubits 1, 2
+        rho = t @ t.conj().T
         l0, l1 = lams[0], lams[1]
         expect = np.array(
             [

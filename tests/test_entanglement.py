@@ -1,6 +1,8 @@
 """Schmidt data, the three maximal-entanglement predicates, and the
-defect machinery the search optimizes (scalar vs batched route, closed-form
-vs finite-difference gradient)."""
+defect machinery the search optimizes.  Residuals, defects and gradients
+all come from one row-blocked kernel; they are checked against einsum/SVD
+oracles, across kernel blocks, and closed-form against finite-difference
+gradients."""
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from umeb.entanglement import (
     coords_to_ket,
     cut_residual,
     defect,
-    defect_coords,
     defect_coords_batch,
     defect_gradient,
     is_maximally_entangled,
@@ -29,6 +30,7 @@ from umeb.hilbert import (
     Bipartition,
     Ket,
     SystemShape,
+    all_bipartitions,
     apply_local,
     basis_ket,
     kron,
@@ -158,8 +160,29 @@ def test_maximally_entangled_ket_beyond_32_dimensions():
 
 def test_is_maximally_entangled_requires_unit_ket():
     s = SystemShape((2, 2))
-    with pytest.raises(ValueError):
-        is_maximally_entangled(Ket(s, [1, 0, 0, 1]), Strict())
+    v = Ket(s, [1, 0, 0, 1])
+    cut = Bipartition(s, (0,))
+    with pytest.raises(ValueError, match="not normalized"):
+        is_maximally_entangled(v, Strict())
+    with pytest.raises(ValueError, match="not normalized"):
+        cut_residual(v, cut, Strict())
+    with pytest.raises(ValueError, match="not normalized"):
+        schmidt_coefficients(v, cut)
+
+
+def test_cut_residual_validates_predicate_and_cut_against_ket_shape():
+    v = bell22()
+    cut = Bipartition(v.shape, (0,))
+    elsewhere = Bipartition(SystemShape((2, 3)), (0,))
+    for pred in (GhzType(3), CutRestricted(cut, 3), CutRestricted(elsewhere, 2)):
+        with pytest.raises(ValueError):
+            is_maximally_entangled(v, pred)
+        with pytest.raises(ValueError):
+            cut_residual(v, cut, pred)
+    with pytest.raises(ValueError, match="cut is over 2x3"):
+        cut_residual(v, elsewhere, Strict())
+    with pytest.raises(ValueError, match="cut is over 2x3"):
+        schmidt_coefficients(v, elsewhere)
 
 
 def test_cut_residual_of_product_state():
@@ -171,6 +194,47 @@ def test_cut_residual_of_product_state():
     assert cut_residual(p, cut, CutRestricted(cut, 2)) == pytest.approx(
         np.linalg.norm([1 - 2**-0.5, 2**-0.5]), abs=1e-12
     )
+
+
+def _oracle_residual(amps, dims, sites, pred):
+    # the reduced state of ``sites`` by one einsum, and spectra by SVD: of
+    # rho for ghz, of the regrouped amplitudes for Schmidt coefficients
+    t = amps.reshape(dims)
+    ket = "abcd"[: len(dims)]
+    bra = "".join(c.upper() if i in sites else c for i, c in enumerate(ket))
+    kept = "".join(ket[i] for i in sites) + "".join(bra[i] for i in sites)
+    da = int(np.prod([dims[i] for i in sites]))
+    rho = np.einsum(f"{ket},{bra}->{kept}", t, t.conj()).reshape(da, da)
+    if isinstance(pred, Strict):
+        return np.linalg.norm(rho - np.eye(da) / da)
+    if isinstance(pred, GhzType):
+        spec, level = np.linalg.svd(rho, compute_uv=False), 1 / pred.d
+    else:
+        m = np.moveaxis(t, sites, range(len(sites))).reshape(da, -1)
+        spec, level = np.linalg.svd(m, compute_uv=False), pred.d**-0.5
+    target = np.zeros(spec.size)
+    target[: pred.d] = level
+    return np.linalg.norm(spec - target)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (2, 2, 2), (2, 3, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_residuals_match_einsum_and_svd_oracle(dims, seed):
+    shape = SystemShape(dims)
+    v = random_unit_ket(shape, np.random.default_rng(seed))
+    cuts = all_bipartitions(shape)
+    for pred in [Strict(), GhzType(2)] + [CutRestricted(c, 2) for c in cuts]:
+        for cut, r in is_maximally_entangled(v, pred).residuals:
+            assert abs(r - _oracle_residual(v.amps, dims, cut.sites, pred)) <= 1e-12
+    for cut in cuts:  # both sides, e.g. the 6x6 state on sites (0, 2) of 2x3x3
+        for sites in (cut.sites, cut.other_sites):
+            side = Bipartition(shape, sites)
+            for pred in (Strict(), GhzType(2), CutRestricted(cut, 2)):
+                expect = _oracle_residual(v.amps, dims, sites, pred)
+                assert abs(cut_residual(v, side, pred) - expect) <= 1e-12
 
 
 def test_defect_zero_exactly_on_satisfying_states():
@@ -247,7 +311,7 @@ def test_defect_coords_agrees_with_scalar_defect():
         ket = coords_to_ket(w, frame)
         for pred in preds:
             expect = _einsum_defect(ket.amps, pred)
-            assert defect_coords(w, pred, frame) == pytest.approx(expect, abs=1e-12)
+            assert defect_coords_batch(w[None, :], pred, frame)[0] == pytest.approx(expect, abs=1e-12)
             assert defect(ket, pred) == pytest.approx(expect, abs=1e-12)
 
 
@@ -258,7 +322,7 @@ def test_defect_coords_batch_matches_loop():
     W = rng.standard_normal((16, 2 * len(frame)))
     for pred in (Strict(), GhzType(2)):
         batch = defect_coords_batch(W, pred, frame)
-        single = [defect_coords(w, pred, frame) for w in W]
+        single = [defect_coords_batch(w[None, :], pred, frame)[0] for w in W]
         assert np.allclose(batch, single, atol=1e-13)
 
 
@@ -281,7 +345,7 @@ def test_defect_coords_batch_spans_kernel_blocks():
     preds = (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (0,)), 2))
     for pred in preds:
         batch = defect_coords_batch(W, pred, frame)
-        single = np.array([defect_coords(w, pred, frame) for w in W])
+        single = np.array([defect_coords_batch(w[None, :], pred, frame)[0] for w in W])
         assert np.max(np.abs(batch - single)) <= 1e-12
     W[-1] *= 1e-9  # a near-zero row in the last block only
     for pred in preds:
@@ -301,10 +365,8 @@ def test_defect_gradient_matches_directional_secant():
         d = rng.standard_normal(w.size)
         d /= np.linalg.norm(d)
         h = 1e-6
-        secant = (
-            defect_coords(w + h * d, pred, frame)
-            - defect_coords(w - h * d, pred, frame)
-        ) / (2 * h)
+        hi, lo = defect_coords_batch(np.array([w + h * d, w - h * d]), pred, frame)
+        secant = (hi - lo) / (2 * h)
         assert np.dot(g, d) == pytest.approx(secant, abs=1e-7)
 
 

@@ -1,5 +1,6 @@
-"""Core linear algebra: shapes, kets, bipartitions, reductions, and the
-Hermitian eigenvalue wrapper (checked on known spectra)."""
+"""Core linear algebra: shapes, kets, bipartitions, complements, and the
+Hermitian eigenvalue wrapper (checked on known spectra).  Reduced states
+are tested with the entanglement evaluator in ``test_entanglement.py``."""
 
 import numpy as np
 import pytest
@@ -13,14 +14,12 @@ from umeb.hilbert import (
     all_bipartitions,
     apply_local,
     basis_ket,
-    coefficient_matrix,
     gram_matrix,
     hermitian_eigenvalues,
     inner,
     kron,
     numerical_rank,
     orthonormal_complement,
-    partial_trace,
     random_unit_ket,
     random_unitary,
     stack_amps,
@@ -142,49 +141,6 @@ def test_inner_is_conjugate_linear_in_first_argument():
     assert inner(b, a) == pytest.approx(1j)
     with pytest.raises(ValueError):
         inner(a, Ket(SystemShape((3,)), [1, 0, 0]))
-
-
-def test_partial_trace_of_product_state_is_pure():
-    a = Ket(SystemShape((2,)), [0.6, 0.8])
-    b = Ket(SystemShape((3,)), [0, 1, 0])
-    v = kron(a, b)
-    rho = partial_trace(v, Bipartition(v.shape, (0,)))
-    assert np.allclose(rho.entries, np.outer(a.amps, a.amps.conj()), atol=1e-14)
-
-
-def test_partial_trace_against_einsum_oracle():
-    rng = np.random.default_rng(11)
-    shape = SystemShape((2, 3, 3))
-    for _ in range(25):
-        v = random_unit_ket(shape, rng)
-        t = v.amps.reshape(2, 3, 3)
-        oracles = {
-            (0,): np.einsum("ijk,ljk->il", t, t.conj()),
-            (1,): np.einsum("ijk,ilk->jl", t, t.conj()),
-            (2,): np.einsum("ijk,ijl->kl", t, t.conj()),
-            (0, 2): np.einsum("ijk,ljm->iklm", t, t.conj()).reshape(6, 6),
-        }
-        for sites, expect in oracles.items():
-            rho = partial_trace(v, Bipartition(shape, sites))
-            assert np.allclose(rho.entries, expect, atol=1e-13)
-            assert abs(np.trace(rho.entries) - 1.0) < 1e-12
-
-
-def test_partial_trace_requires_unit_ket():
-    v = Ket(SystemShape((2, 2)), [1, 0, 0, 1])
-    with pytest.raises(ValueError):
-        partial_trace(v, Bipartition(v.shape, (0,)))
-
-
-def test_coefficient_matrix_reproduces_reduced_state():
-    rng = np.random.default_rng(5)
-    shape = SystemShape((2, 3, 3))
-    v = random_unit_ket(shape, rng)
-    cut = Bipartition(shape, (1,))
-    m = coefficient_matrix(v, cut)
-    assert m.shape == (3, 6)
-    rho = partial_trace(v, cut)
-    assert np.allclose(m @ m.conj().T, rho.entries, atol=1e-13)
 
 
 def _known_spectrum(evals, rng, scale=1.0):
