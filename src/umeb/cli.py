@@ -156,7 +156,10 @@ def _as_amps(raw, what: str) -> np.ndarray:
             or not all(_is_number(p) for p in pair)
         ):
             raise CliError(f"{what}: entry {k} is not an [re, im] pair")
-        out[k] = complex(pair[0], pair[1])
+        try:
+            out[k] = complex(pair[0], pair[1])
+        except OverflowError:  # a JSON integer beyond float range
+            raise CliError(f"{what}: entry {k} is beyond float range")
     return out
 
 
@@ -232,7 +235,13 @@ def load_basis_file(path: str) -> LabeledBasis:
                         raise CliError(
                             f"{path}: terms[{i}] product {k} factor {g_idx}: {e}"
                         )
-                prods.append(ProductTerm(float(rp["coefficient"]), tuple(factors)))
+                try:
+                    coefficient = float(rp["coefficient"])
+                except OverflowError:
+                    raise CliError(
+                        f"{path}: terms[{i}] product {k}: coefficient is beyond float range"
+                    )
+                prods.append(ProductTerm(coefficient, tuple(factors)))
             terms = tuple(prods)
         try:
             vectors.append(DecomposedVector(ket, grouping, terms))

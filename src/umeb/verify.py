@@ -59,7 +59,13 @@ def check_completeness(basis: LabeledBasis) -> CompletenessCheck:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the multi-start descent; defaults match the certificates."""
+    """Knobs of the multi-start descent; defaults match the certificates.
+
+    ``step`` is every row's first trial step and sets the cap, 100 times
+    ``step``, on the Barzilai–Borwein steps that follow; ``shrink`` is the
+    backtracking factor applied after a trial that does not decrease the
+    objective.
+    """
 
     restarts: int = 32
     max_iters: int = 2000
@@ -81,6 +87,11 @@ class SearchConfig:
 # this size, so memory does not grow with cfg.restarts beyond the results.
 _LOCKSTEP = 32
 
+# Barzilai–Borwein steps are clipped to this multiple of cfg.step.
+_BB_CAP = 100.0
+
+_EPS = float(np.finfo(np.float64).eps)
+
 
 def minimize_on_sphere(
     value: Callable[[np.ndarray], np.ndarray],
@@ -88,22 +99,33 @@ def minimize_on_sphere(
     W0: np.ndarray,
     cfg: SearchConfig,
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-    """Projected gradient descent on the unit sphere with backtracking.
+    """Projected gradient descent on the unit sphere with Barzilai–Borwein
+    steps and backtracking.
 
     ``W0`` is an ``(R, n)`` block of starts, one descent per row (a 1-D
     start is a block of one row).  ``value`` maps an ``(m, n)`` block of
     points to their ``(m,)`` objective values and ``grad`` to their
-    ``(m, n)`` gradients; both are called on the rows still moving only.
+    ``(m, n)`` gradients; both are called on the rows still moving only,
+    and ``grad`` only at accepted points.
 
     The rows step in lockstep, but each keeps its own step size,
     backtracking and stop test, so every row follows the rule it would
-    follow alone: step along the negative tangent component of the
-    gradient, shrink the step until the objective decreases, and
-    cautiously re-grow it after success.  A row stops when its tangent
-    gradient drops below ``cfg.grad_tol`` or its step underflows; every
-    row stops after ``cfg.max_iters`` gradient evaluations.  Returns the
-    final points, their values, and per row the history of accepted
-    values (non-increasing by construction).
+    follow alone.  A row steps along the negative tangent component ``g``
+    of the gradient and renormalizes.  Its first trial step is
+    ``cfg.step``; after an accepted step the next trial step is the BB2
+    step ``s.y / y.y`` (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988),
+    where ``s`` is the change in the row's point and ``y`` the change in
+    ``g``, clipped to ``_BB_CAP * cfg.step`` and replaced by that cap when
+    ``s.y <= 0``.  A trial is accepted only if the objective decreases;
+    otherwise the step shrinks by ``cfg.shrink`` and the row tries again.
+
+    A row stops when ``|g|`` drops below ``cfg.grad_tol``, or by step
+    underflow: when no trial step is left that could show a decrease,
+    because the step fell below 1e-14 or ``step * |g|^2 <= 4 eps |f|``,
+    the first-order decrease being then below the rounding of ``f``.
+    Every row stops after ``cfg.max_iters`` gradient evaluations.
+    Returns the final points, their values, and per row the history of
+    accepted values (strictly decreasing by construction).
     """
     W = np.atleast_2d(np.array(W0, dtype=np.float64))
     norms = np.linalg.norm(W, axis=1)
@@ -113,17 +135,31 @@ def minimize_on_sphere(
     f = np.array(value(W), dtype=np.float64)
     histories = [[float(x)] for x in f]
     alpha = np.full(len(W), cfg.step)
+    cap = _BB_CAP * cfg.step
+    W_last = np.empty_like(W)  # each row's previous accepted point ...
+    G_last = np.empty_like(W)  # ... and its tangent gradient there
     live = np.arange(len(W))  # rows still descending
-    for _ in range(cfg.max_iters):
+    for it in range(cfg.max_iters):
         if not live.size:
             break
         P = W[live]
         G = grad(P)
         G = G - np.sum(G * P, axis=1)[:, None] * P
-        steep = np.linalg.norm(G, axis=1) > cfg.grad_tol
-        live, G = live[steep], G[steep]
+        gg = np.sum(G * G, axis=1)
+        steep = np.sqrt(gg) > cfg.grad_tol
+        live, P, G, gg = live[steep], P[steep], G[steep], gg[steep]
+        if it:  # every live row moved in the previous iteration: BB2 step
+            s, y = P - W_last[live], G - G_last[live]
+            sy, yy = np.sum(s * y, axis=1), np.sum(y * y, axis=1)
+            bb = np.full(live.size, cap)
+            curved = sy > 0.0
+            bb[curved] = np.minimum(sy[curved] / yy[curved], cap)
+            alpha[live] = bb
+        W_last[live], G_last[live] = P, G
+        # below this step the decrease alpha*|g|^2 hides in the rounding of f
+        least = np.maximum(1e-14, 4.0 * _EPS * np.abs(f[live]) / gg)
         moved = np.zeros(live.size, dtype=bool)
-        trying = np.flatnonzero(alpha[live] >= 1e-14)  # positions in live
+        trying = np.flatnonzero(alpha[live] >= least)  # positions in live
         while trying.size:
             rows = live[trying]
             cand = W[rows] - alpha[rows][:, None] * G[trying]
@@ -134,11 +170,10 @@ def minimize_on_sphere(
             W[won], f[won] = cand[better], fc[better]
             for r in won:
                 histories[r].append(float(f[r]))
-            alpha[won] = np.minimum(alpha[won] / cfg.shrink, cfg.step)
             moved[trying[better]] = True
             alpha[rows[~better]] *= cfg.shrink
             trying = trying[~better]
-            trying = trying[alpha[live[trying]] >= 1e-14]
+            trying = trying[alpha[live[trying]] >= least[trying]]
         live = live[moved]
     return W, f, histories
 

@@ -314,3 +314,26 @@ def test_load_rejects_json_booleans_as_numbers(tmp_path, capsys):
         code, _, err = run(capsys, "verify", str(path), "--restarts", "1")
         assert code == 1
         assert f"{path}: {message}" in err
+
+
+def test_load_rejects_integers_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    huge = 10**400  # a valid JSON integer that no float can hold
+
+    def amplitude(data):
+        data["vectors"][0][0][0] = huge
+        return "vector 0: entry 0 is beyond float range"
+
+    def coefficient(data):
+        data["terms"][0]["products"][0]["coefficient"] = huge
+        return "terms[0] product 0: coefficient is beyond float range"
+
+    for edit in (amplitude, coefficient):
+        data = json.loads(basis_file_text(umeb_2x3_type1()))
+        message = edit(data)
+        path.write_text(json.dumps(data))
+        for cmd in ("verify", "search"):
+            code, _, err = run(capsys, cmd, str(path), "--restarts", "1")
+            assert code == 1
+            assert f"{path}: {message}" in err
+            assert "Traceback" not in err

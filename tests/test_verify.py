@@ -1,9 +1,12 @@
 """Orthonormality/completeness checks, the sphere optimizer, the
 unextendibility search, and overlap reports."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import umeb.verify
 from umeb.constructions import (
     DecomposedVector,
     LabeledBasis,
@@ -11,7 +14,13 @@ from umeb.constructions import (
     umeb_2x3_type1,
     umeb_2x3x3_first,
 )
-from umeb.entanglement import CutRestricted, GhzType, Strict, coords_to_ket
+from umeb.entanglement import (
+    CutRestricted,
+    GhzType,
+    Strict,
+    coords_to_ket,
+    is_maximally_entangled,
+)
 from umeb.hilbert import (
     Bipartition,
     Ket,
@@ -123,6 +132,33 @@ def test_minimize_on_sphere_rows_descend_independently():
         assert len(h1[0]) == len(histories[r])
 
 
+def test_minimize_on_sphere_stops_where_rounding_hides_any_decrease():
+    # a flat landscape at 1/4 with a tangent gradient of norm 5e-8, above
+    # grad_tol: no step can show a decrease above the rounding of 1/4, so
+    # each row gives up after a trial or two instead of halving its step
+    # down to 1e-14
+    turn = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    value_calls = []
+
+    def value(W):
+        value_calls.append(len(W))
+        return np.full(len(W), 0.25)
+
+    def grad(W):  # turn @ w is orthogonal to w and as long
+        return 5e-8 * (W @ turn.T)
+
+    W0 = np.random.default_rng(73).standard_normal((3, 4))
+    W, f, histories = minimize_on_sphere(value, grad, W0, SearchConfig())
+    assert 1 < len(value_calls) <= 3
+    assert histories == [[0.25]] * 3
+    assert np.array_equal(W, W0 / np.linalg.norm(W0, axis=1)[:, None])
+    # the stop leaves a stiff quadratic's descent to its minimum intact
+    value, grad = quadratic([100.0, 20.0, 0.5, 1.0])
+    W0 = np.random.default_rng(79).standard_normal((4, 4))
+    W, f, histories = minimize_on_sphere(value, grad, W0, SearchConfig())
+    assert np.all(np.abs(f - 0.5) <= 1e-9)
+
+
 def test_minimize_on_sphere_rejects_zero_start():
     cfg = SearchConfig()
     with pytest.raises(ValueError):
@@ -196,6 +232,49 @@ def test_search_beyond_one_lockstep_group_keeps_seeds_and_tie_rule():
     w0 = np.random.default_rng((3, 0)).standard_normal(2 * len(frame))
     expect = coords_to_ket(w0 / np.linalg.norm(w0), frame)
     assert np.allclose(res.argmin.amps, expect.amps, atol=1e-14)
+
+
+def test_search_work_is_pinned(monkeypatch):
+    # callback counts do not depend on the machine: Barzilai–Borwein steps
+    # and the rounding-aware stop take each default search to its floor
+    # in a few dozen batched calls (several hundred with fixed capped steps)
+    calls = []
+    for name in ("defect_coords_batch", "defect_gradient"):
+        kernel = getattr(umeb.verify, name)
+
+        def counted(*args, kernel=kernel, **kwargs):
+            calls.append(kernel)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(umeb.verify, name, counted)
+    fam = umeb_2x3x3_first()
+    for pred, floor in ((GhzType(2), 0.25), (Strict(), 5.0 / 6.0)):
+        calls.clear()
+        res = unextendibility_search(fam, pred, SearchConfig())
+        assert len(calls) <= 60
+        assert len(res.per_restart_minima) == 32
+        assert max(abs(m - floor) for m in res.per_restart_minima) <= 1e-12
+
+
+def test_proper_subsets_of_meb8_extend():
+    # the three-qubit claim on a fixed sample: the first three subsets of
+    # every size 1..7 leave a strictly maximally entangled state in the
+    # complement, and the search returns it as a checked witness
+    m8 = meb8()
+    for size in range(1, 8):
+        for subset in itertools.islice(itertools.combinations(range(8), size), 3):
+            part = LabeledBasis(
+                "part",
+                m8.shape,
+                tuple(m8.labels[i] for i in subset),
+                tuple(m8.vectors[i] for i in subset),
+            )
+            res = unextendibility_search(part, Strict(), small_cfg())
+            assert res.verdict == "me_state_found", subset
+            assert res.min_defect <= 1e-8
+            assert is_maximally_entangled(res.witness, Strict()).ok
+            cross = stack_amps(part.kets).conj() @ res.witness.amps
+            assert np.max(np.abs(cross)) <= 1e-10
 
 
 def test_search_finds_witness_under_cut_predicate():
