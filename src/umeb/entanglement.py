@@ -205,31 +205,55 @@ def defect(v: Ket, pred: Predicate) -> float:
     differentiable everywhere, which is what the optimizer needs.
     CutRestricted(d) penalizes the squared Schmidt coefficients mu_i:
     sum of (mu_i - 1/d)^2 over the top d plus sum of mu_i^2 over the rest.
-    Evaluated by the kernel of :func:`defect_coords_batch`, as a block of
-    one row.
+    Evaluated by the state path of the :func:`defect_coords_batch` kernel,
+    as a block of one row.
     """
     _check_unit(v)
-    return float(_defect_block(v.amps[None, :], pred, v.shape, _cut_plan(pred, v.shape))[0])
+    cuts = _cut_blocks(v.amps[None, :], v.shape, _cut_plan(pred, v.shape))
+    return float(_rho_defect([rho for _, _, rho in cuts], pred)[0])
 
 
 # --- coordinate form used by the unextendibility search ------------------
 #
 # A point of the complement is encoded as 2c real coordinates w, pairs of
-# (real, imag) parts of the expansion coefficients in an orthonormal frame.
-# The objective normalizes the encoded vector, so it is invariant under
-# scaling of w and under a global phase.
+# (real, imag) parts of the expansion coefficients z in an orthonormal
+# frame.  The objective normalizes the encoded vector, so it is invariant
+# under scaling of w and under a global phase.
+#
+# The kernel forms the reduced states of a block of rows in one of two ways
+# and then shares one step from rho to the defect and one from rho to
+# dF/drho.  The state path decodes each row into its state vector, regroups
+# it across every cut into m and takes rho = m m^dagger.  The pair path
+# never forms the state vector: with A_a ket a of the frame regrouped across
+# a cut, the unnormalized reduced state is sum_ab z_a conj(z_b) A_a A_b^dagger,
+# so all cuts at once are one matrix product of z (x) conj(z), shape
+# (rows, c^2), with a cached pair tensor T, shape (c^2, K) where K sums d_A^2
+# over the cuts.  numpy pays about 0.3 us per row for every stacked product
+# of tiny matrices whatever their size; the pair path replaces the per-cut
+# m m^dagger (and its pullback) by one BLAS product per block.  T grows as
+# c^2 K, so large frames keep the state path.
 
 
 def coords_to_ket(w: np.ndarray, frame: Sequence[Ket]) -> Ket:
     """Decode coordinates into the normalized ket they represent."""
-    _, psi, _ = next(_coord_blocks(_coord_rows(np.ravel(w), frame), stack_amps(frame)))
+    _, psi, _ = next(_coord_blocks(_coord_rows(np.ravel(w), frame), stack_amps(frame), 1))
     return Ket(frame[0].shape, psi[0])
 
 
-# Complex amplitudes per kernel block.  Each block of rows builds its state
-# vectors, regrouped coefficient matrices and reduced states, so this bounds
-# the kernel's temporaries to a few hundred kilobytes whatever the batch size.
+# Complex amplitudes per state-path block.  Each block of rows builds its
+# state vectors, regrouped coefficient matrices and reduced states, so this
+# bounds the kernel's temporaries to a few hundred kilobytes whatever the
+# batch size.
 _BLOCK_AMPS = 4096
+# Largest c^2 K that takes the pair path.  State-path over pair-path time per
+# row for strict and ghz2 values and gradients, measured on a 2-core Xeon with
+# numpy 2.4 and BLAS on one thread: 2x3x3 (c = 6, c^2 K = 792) 1.0-2.3x,
+# 2x2x2x2 (c = 8, 4096) 1.3-3.7x, the 2x3x6 lift (c = 12, 7056) 0.9-1.4x,
+# 2x3x8 (c = 16, 12544) 0.5-1.0x, 8x8 (c = 32, 65536) 0.12-0.21x.
+_PAIR_MAX = 4096
+# Complex entries of the widest per-row array, z (x) conj(z) or the reduced
+# states, per pair-path block.
+_PAIR_BUDGET = 16384
 
 
 def _cut_step(cut: Bipartition) -> tuple[tuple[int, ...], int, int]:
@@ -260,17 +284,16 @@ def defect_coords_batch(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) ->
     :func:`defect` on the coordinate encoding, one row per vector; the
     search calls this in batches for objective values, and
     :func:`defect_gradient` for its probes when given a finite-difference
-    ``step``.  Rows are evaluated in blocks of ``_BLOCK_AMPS //
-    shape.total`` rows, so the temporaries stay bounded for any batch
+    ``step``.  Rows are evaluated in blocks of bounded size (see
+    :func:`_kernel_path`), so the temporaries stay bounded for any batch
     size; every row must encode a vector of norm above 1e-6.  For
-    CutRestricted the batched spectra come from LAPACK ``eigvalsh``.
+    CutRestricted with d below the small side's dimension the batched
+    spectra come from LAPACK ``eigvalsh``.
     """
     W = _coord_rows(W, frame)
-    shape = frame[0].shape
-    plan = _cut_plan(pred, shape)
     out = np.empty(W.shape[0])
-    for rows, psi, _ in _coord_blocks(W, stack_amps(frame)):
-        out[rows] = _defect_block(psi, pred, shape, plan)
+    for rows, rhos, _ in _rho_blocks(W, pred, frame):
+        out[rows] = _rho_defect(rhos, pred)
     return out
 
 
@@ -281,14 +304,124 @@ def _coord_rows(W: np.ndarray, frame: Sequence[Ket]) -> np.ndarray:
     return W
 
 
-def _coord_blocks(W: np.ndarray, amps: np.ndarray):
-    """Yield ``(rows, psi, norms)`` per kernel block of coordinate rows.
+def _kernel_path(pred: Predicate, frame: Sequence[Ket]) -> tuple[bool, int]:
+    """Whether ``frame`` takes the pair path for ``pred``, and the rows per
+    kernel block on the path it takes."""
+    plan = _cut_plan(pred, frame[0].shape)
+    c, k = len(frame), sum(da * da for _, da, _ in plan)
+    if c * c * k <= _PAIR_MAX:
+        return True, max(1, _PAIR_BUDGET // max(c * c, k))
+    return False, max(1, _BLOCK_AMPS // frame[0].shape.total)
+
+
+def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]):
+    """Yield ``(rows, rhos, pull)`` per kernel block of coordinate rows.
+
+    ``rows`` slices ``W``; ``rhos`` holds, per cut of the predicate's
+    :func:`_cut_plan`, the reduced states of the unit vectors the rows
+    encode.  ``pull`` maps one :func:`_rho_gradient` per cut to the
+    gradient in the complex coordinates ``z``, laid out so that its real
+    and imaginary parts are the gradient in ``w``.  Raises on a row
+    encoding a near-zero vector.  The pair path builds its tensor once per
+    frame; the state path restacks the frame on every call, so that no
+    cache pins a large frame.
+    """
+    shape = frame[0].shape
+    plan = _cut_plan(pred, shape)
+    pair, block = _kernel_path(pred, frame)
+    if pair:
+        return _pair_blocks(W, plan, _pair_tensor(plan, tuple(frame)), block)
+    return _state_blocks(W, shape, plan, stack_amps(frame), block)
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_tensor(plan, frame: tuple[Ket, ...]) -> np.ndarray:
+    """The pair tensor ``T`` of a frame, shape ``(c^2, K)``.
+
+    Row ``a c + b`` holds ``A_a A_b^dagger`` for every cut of ``plan``,
+    flattened row-major and concatenated in plan order.  Cached per (plan,
+    frame): :class:`Ket` is frozen, its amplitudes are read-only and it
+    hashes by identity.
+    """
+    c = len(frame)
+    t = stack_amps(frame).reshape((c,) + frame[0].shape.dims)
+    parts = []
+    for perm, da, db in plan:
+        a = np.transpose(t, perm).reshape(c, da, db)
+        parts.append(np.einsum("aik,bjk->abij", a, a.conj()).reshape(c * c, da * da))
+    T = np.concatenate(parts, axis=1)
+    T.setflags(write=False)
+    return T
+
+
+def _pair_blocks(W: np.ndarray, plan, T: np.ndarray, block: int):
+    """:func:`_rho_blocks` on the pair path.
+
+    Every cut's state ``rho~`` of ``v = z @ amps`` is read off one product
+    ``(z (x) conj z) @ T``; ``|v|^2`` is the trace of the first cut's, which
+    holds for any frame, orthonormal or not.
+    """
+    c = W.shape[1] // 2
+    da0 = plan[0][1]
+    ends = np.cumsum([da * da for _, da, _ in plan])
+    for start in range(0, W.shape[0], block):
+        rows = slice(start, start + block)
+        z = W[rows, 0::2] + 1j * W[rows, 1::2]
+        r = (z[:, :, None] * z[:, None, :].conj()).reshape(-1, c * c) @ T
+        vv = sum(r[:, i * (da0 + 1)].real for i in range(da0))
+        if np.any(vv <= 1e-12):
+            raise ValueError("coordinates encode a near-zero vector")
+        r *= (1.0 / vv)[:, None]
+        rhos = [r[:, e - da * da : e].reshape(-1, da, da) for e, (_, da, _) in zip(ends, plan)]
+        yield rows, rhos, functools.partial(_pair_pull, T, z, vv)
+
+
+def _pair_pull(T: np.ndarray, z: np.ndarray, vv: np.ndarray, gs) -> np.ndarray:
+    """Pull each cut's ``G`` back to ``z`` on the pair path.
+
+    With ``B_ab = A_a A_b^dagger`` (row ``a c + b`` of ``T``), ``rho~ =
+    sum_ab z_a conj(z_b) B_ab`` and ``df = Re tr(G drho~) /
+    |v|^2`` (``G`` already traceless against rho), ``Q_ab = tr(G B_ab)`` is
+    one product with ``T^T``, and the gradient is ``2 sum_a z_a Q_ab /
+    |v|^2``.
+    """
+    n, c = z.shape
+    q = np.concatenate([g.reshape(n, -1) for g in gs], axis=1).conj() @ T.T
+    return 2.0 * np.einsum("na,nab->nb", z, q.reshape(n, c, c)) / vv[:, None]
+
+
+def _state_blocks(W: np.ndarray, shape, plan, amps: np.ndarray, block: int):
+    """:func:`_rho_blocks` on the state path."""
+    for rows, psi, norms in _coord_blocks(W, amps, block):
+        cuts = list(_cut_blocks(psi, shape, plan))
+        pull = functools.partial(_state_pull, cuts, amps, norms, shape)
+        yield rows, [rho for _, _, rho in cuts], pull
+
+
+def _state_pull(cuts, amps: np.ndarray, norms: np.ndarray, shape, gs) -> np.ndarray:
+    """Pull each cut's ``G`` back to ``z`` on the state path.
+
+    With ``rho = m m^dagger``, ``df = Re tr(G drho) = Re <2 G m, dm>``, so
+    ``2 G m`` is the gradient in ``m``; it is added back into state-vector
+    order through the cut's transposed view, then taken through ``psi = v /
+    |v|`` and ``v = z @ amps``.  ``G`` is traceless against rho, so the sum
+    has no radial part.
+    """
+    n = len(norms)
+    h = np.zeros((n,) + shape.dims, dtype=np.complex128)
+    for (perm, m, _), g in zip(cuts, gs):
+        hp = np.transpose(h, perm)
+        hp += (2.0 * (g @ m)).reshape(hp.shape)
+    return (h.reshape(n, -1) / norms[:, None]) @ amps.conj().T
+
+
+def _coord_blocks(W: np.ndarray, amps: np.ndarray, block: int):
+    """Yield ``(rows, psi, norms)`` per block of ``block`` coordinate rows.
 
     ``rows`` slices ``W``; ``psi`` holds the unit state vectors the rows
     encode in the frame ``amps`` and ``norms`` their norms before
     normalization.  Raises on a row encoding a near-zero vector.
     """
-    block = max(1, _BLOCK_AMPS // amps.shape[1])
     for start in range(0, W.shape[0], block):
         rows = slice(start, start + block)
         vecs = (W[rows, 0::2] + 1j * W[rows, 1::2]) @ amps
@@ -312,51 +445,44 @@ def _cut_blocks(psi: np.ndarray, shape, plan):
         yield perm, m, m @ m.conj().transpose(0, 2, 1)
 
 
-def _defect_block(psi: np.ndarray, pred: Predicate, shape, plan) -> np.ndarray:
-    """Defects of one block of unit state vectors."""
-    out = np.zeros(psi.shape[0])
-    for _, _, rho in _cut_blocks(psi, shape, plan):
-        if isinstance(pred, CutRestricted):
+def _rho_defect(rhos, pred: Predicate) -> np.ndarray:
+    """Defects from each cut's reduced states (one ``(n, d_A, d_A)`` array per cut)."""
+    out = np.zeros(rhos[0].shape[0])
+    for rho in rhos:
+        da = rho.shape[1]
+        if isinstance(pred, CutRestricted) and pred.d < da:
             mu = np.linalg.eigvalsh(rho)[:, ::-1]
             top, rest = mu[:, : pred.d], mu[:, pred.d :]
-            return np.sum((top - 1.0 / pred.d) ** 2, axis=1) + np.sum(rest**2, axis=1)
-        if isinstance(pred, Strict):
-            x = rho - np.eye(rho.shape[1]) / rho.shape[1]
-        else:
+            out += np.sum((top - 1.0 / pred.d) ** 2, axis=1) + np.sum(rest**2, axis=1)
+            continue
+        if isinstance(pred, GhzType):
             x = rho @ rho - rho / pred.d
+        else:  # Strict, or CutRestricted with d = da: sum_i (mu_i - 1/d)^2 = ||rho - I/d||^2
+            x = rho - np.eye(da) / da
         out += np.sum(np.abs(x) ** 2, axis=(1, 2))
     return out
 
 
-def _gradient_block(psi: np.ndarray, pred: Predicate, shape, plan) -> np.ndarray:
-    """Gradient of the defect at one block of unit state vectors.
+def _rho_gradient(rho: np.ndarray, pred: Predicate) -> np.ndarray:
+    """``G = df/drho - Re tr(rho df/drho) I`` for one cut's reduced states.
 
-    Per cut, ``G = df/drho`` is Hermitian and ``df = Re tr(G drho)``; with
-    ``rho = m m^dagger`` that is ``Re <2 G m, dm>``, so ``2 G m`` is the
-    gradient in ``m`` (real and imaginary parts as one complex array).  It
-    is added back into state-vector order through the cut's transposed
-    view.  The radial component is removed, leaving the gradient of the
-    defect in the tangent space of the unit sphere at ``psi``.
+    ``df/drho`` is Hermitian, with ``df = Re tr(df/drho drho)``.  Both
+    paths normalize, ``rho = rho~ / tr rho~``, and ``tr drho~`` is the same
+    on every cut, so ``df = sum over cuts of Re tr(G drho~) / tr rho~``:
+    subtracting the trace term is the chain rule through the normalization.
     """
-    n = psi.shape[0]
-    h = np.zeros((n,) + shape.dims, dtype=np.complex128)
-    for perm, m, rho in _cut_blocks(psi, shape, plan):
-        da = rho.shape[1]
-        if isinstance(pred, CutRestricted) and pred.d < da:
-            mu, u = np.linalg.eigh(rho)  # ascending, so the 1/d targets come last
-            target = np.zeros(da)
-            target[da - pred.d :] = 1.0 / pred.d
-            g = (u * (2.0 * (mu - target))[:, None, :]) @ u.conj().transpose(0, 2, 1)
-        elif isinstance(pred, GhzType):
-            x = rho @ rho - rho / pred.d
-            g = 2.0 * (x @ rho + rho @ x - x / pred.d)
-        else:  # Strict, or CutRestricted with d = da: 2 (rho - I/d)
-            g = 2.0 * (rho - np.eye(da) / da)
-        hp = np.transpose(h, perm)
-        hp += (2.0 * (g @ m)).reshape(hp.shape)
-    h = h.reshape(n, -1)
-    radial = np.sum((psi.conj() * h).real, axis=1)
-    return h - radial[:, None] * psi
+    da = rho.shape[1]
+    if isinstance(pred, CutRestricted) and pred.d < da:
+        mu, u = np.linalg.eigh(rho)  # ascending, so the 1/d targets come last
+        target = np.zeros(da)
+        target[da - pred.d :] = 1.0 / pred.d
+        g = (u * (2.0 * (mu - target))[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    elif isinstance(pred, GhzType):
+        x = rho @ rho - rho / pred.d
+        g = 2.0 * (x @ rho + rho @ x - x / pred.d)
+    else:  # Strict, or CutRestricted with d = da: 2 (rho - I/d)
+        g = 2.0 * (rho - np.eye(da) / da)
+    return g - np.einsum("nij,nji->n", g, rho).real[:, None, None] * np.eye(da)
 
 
 def defect_gradient(
@@ -371,11 +497,12 @@ def defect_gradient(
     result has the same shape, one gradient per row.  Every row must
     encode a unit ket within 1e-8.
 
-    By default the gradient is exact, in closed form: one kernel
-    evaluation per row (see :func:`_gradient_block`), then the chain rule
-    through the normalization ``psi = v / |v|`` and the frame ``v = z @
-    amps``.  The objective renormalizes, so radial (scale) and
-    global-phase directions carry no gradient.
+    By default the gradient is exact, in closed form: per cut ``G =
+    df/drho`` from the reduced state (see :func:`_rho_gradient`), pulled
+    back through the normalization and the frame by the same kernel block
+    that formed rho (see :func:`_rho_blocks`).  The objective
+    renormalizes, so radial (scale) and global-phase directions carry no
+    gradient.
 
     With a ``step``, the gradient is taken by central finite differences
     instead: all 2 * 2c probes of all rows go to
@@ -388,12 +515,9 @@ def defect_gradient(
     if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > 1e-8):
         raise ValueError("coordinate vectors must encode unit kets (norm within 1e-8 of 1)")
     if step is None:
-        shape = frame[0].shape
-        plan = _cut_plan(pred, shape)
-        amps = stack_amps(frame)
         grads = np.empty_like(W)
-        for rows, psi, norms in _coord_blocks(W, amps):
-            gz = (_gradient_block(psi, pred, shape, plan) / norms[:, None]) @ amps.conj().T
+        for rows, rhos, pull in _rho_blocks(W, pred, frame):
+            gz = pull([_rho_gradient(rho, pred) for rho in rhos])
             grads[rows, 0::2] = gz.real
             grads[rows, 1::2] = gz.imag
     else:

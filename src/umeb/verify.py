@@ -178,6 +178,13 @@ def minimize_on_sphere(
     return W, f, histories
 
 
+def _check_tol(name: str, tol: float) -> None:
+    # a NaN tolerance fails every comparison and an infinite one passes
+    # every comparison, so either would decide the verdict on its own
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class UnextendibilityResult:
     """Outcome of minimizing a defect over a basis's orthogonal complement.
@@ -212,8 +219,10 @@ def unextendibility_search(
     descent.  Restart ``r`` draws its start from
     ``default_rng((cfg.seed, r))``, so results are reproducible run to
     run.  Among restarts tying for the minimum (within 1e-12) the lowest
-    restart index supplies the argmin.
+    restart index supplies the argmin.  ``witness_tol`` must be finite and
+    nonnegative.
     """
+    _check_tol("witness_tol", witness_tol)
     if cfg is None:
         cfg = SearchConfig()
     predicate_cuts(pred, basis.shape)  # validate predicate/shape pairing early
@@ -272,7 +281,11 @@ class MubReport:
 
 
 def mub_overlap(a: LabeledBasis, b: LabeledBasis, tol: float = 1e-8) -> MubReport:
-    """All |<a_i|b_j>| magnitudes and the unbiasedness verdict."""
+    """All |<a_i|b_j>| magnitudes and the unbiasedness verdict.
+
+    ``tol`` must be finite and nonnegative.
+    """
+    _check_tol("tol", tol)
     if a.shape != b.shape:
         raise ValueError(f"bases live in different spaces: {a.shape} vs {b.shape}")
     total = a.shape.total

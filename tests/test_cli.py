@@ -185,6 +185,23 @@ def test_overlap_writes_csv(tmp_path, capsys):
     assert float(first[1]) == pytest.approx(6**-0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_overlap_rejects_non_finite_or_negative_tol(capsys, tol):
+    code, out, err = run(capsys, "overlap", "meb8", "meb8", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert "tol must be finite and nonnegative" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_search_rejects_non_finite_or_negative_witness_tol(capsys, tol):
+    argv = ("search", "umeb-2x3x3-1", "--predicate", "cut1", "--restarts", "2")
+    code, out, err = run(capsys, *argv, "--witness-tol", tol)
+    assert code == 1
+    assert out == ""
+    assert "witness_tol must be finite and nonnegative" in err
+
+
 def test_demo_prints_headline_facts(capsys):
     code, out, _ = run(capsys, "demo", "--restarts", "2")
     assert code == 0

@@ -1,8 +1,9 @@
 """Schmidt data, the three maximal-entanglement predicates, and the
 defect machinery the search optimizes.  Residuals, defects and gradients
-all come from one row-blocked kernel; they are checked against einsum/SVD
-oracles, across kernel blocks, and closed-form against finite-difference
-gradients."""
+all come from one row-blocked kernel, which forms reduced states either
+from state vectors or from a frame's pair tensor; they are checked against
+einsum/SVD oracles, across kernel blocks on both paths, path against path,
+and closed-form against finite-difference gradients."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from umeb.constructions import ghz3, lift_umeb, umeb_2x3_type1, umeb_2x3x3_first
+import umeb.entanglement as ent
 from umeb.entanglement import (
-    _BLOCK_AMPS,
     CutRestricted,
     GhzType,
     Strict,
@@ -337,20 +338,17 @@ def test_defect_coords_rejects_near_zero_rows():
 
 def test_defect_coords_batch_spans_kernel_blocks():
     rng = np.random.default_rng(89)
-    fam = umeb_2x3x3_first()
-    frame = orthonormal_complement(fam.kets)
-    shape = fam.shape
-    rows = 2 * (_BLOCK_AMPS // shape.total) + 7  # three kernel blocks
-    W = rng.standard_normal((rows, 2 * len(frame)))
-    preds = (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (0,)), 2))
-    for pred in preds:
-        batch = defect_coords_batch(W, pred, frame)
-        single = np.array([defect_coords_batch(w[None, :], pred, frame)[0] for w in W])
-        assert np.max(np.abs(batch - single)) <= 1e-12
-    W[-1] *= 1e-9  # a near-zero row in the last block only
-    for pred in preds:
-        with pytest.raises(ValueError):
-            defect_coords_batch(W, pred, frame)
+    for frame in _frames().values():
+        shape = frame[0].shape
+        for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (0,)), 2)):
+            rows = 2 * ent._kernel_path(pred, frame)[1] + 7  # three kernel blocks
+            W = rng.standard_normal((rows, 2 * len(frame)))
+            batch = defect_coords_batch(W, pred, frame)
+            single = np.array([defect_coords_batch(w[None, :], pred, frame)[0] for w in W])
+            assert np.max(np.abs(batch - single)) <= 1e-12
+            W[-1] *= 1e-9  # a near-zero row in the last block only
+            with pytest.raises(ValueError):
+                defect_coords_batch(W, pred, frame)
 
 
 def test_defect_gradient_matches_directional_secant():
@@ -420,10 +418,20 @@ def _unit_rows(rng, m, n):
 
 
 def _frames():
-    return {
+    """One complement frame per kernel path.
+
+    Every predicate takes the pair path on the 2x3x3 family's complement
+    (c = 6).  On the 2x3x6 lift's (c = 12), strict and ghz2 take the state
+    path and a one-site cut the pair path.
+    """
+    frames = {
         "2x3x3": orthonormal_complement(umeb_2x3x3_first().kets),
         "2x3x6": orthonormal_complement(lift_umeb(umeb_2x3_type1(), 6).kets),
     }
+    for name, frame in frames.items():
+        for pred in (Strict(), GhzType(2)):
+            assert ent._kernel_path(pred, frame)[0] == (name == "2x3x3")
+    return frames
 
 
 @pytest.mark.parametrize("frame_name", ["2x3x3", "2x3x6"])
@@ -478,27 +486,78 @@ def test_closed_form_gradient_is_tangent_to_scale_and_phase():
 
 def test_closed_form_gradient_spans_kernel_blocks():
     rng = np.random.default_rng(109)
-    fam = umeb_2x3x3_first()
-    frame = orthonormal_complement(fam.kets)
-    rows = 2 * (_BLOCK_AMPS // fam.shape.total) + 7  # three kernel blocks
-    W = _unit_rows(rng, rows, 2 * len(frame))
-    preds = (Strict(), GhzType(2), CutRestricted(Bipartition(fam.shape, (1,)), 2))
-    for pred in preds:
-        block = defect_gradient(W, pred, frame)
-        single = np.array([defect_gradient(w, pred, frame) for w in W])
-        assert np.max(np.abs(block - single)) <= 1e-12
-    V = W.copy()
-    V[-1] *= 1.5
-    with pytest.raises(ValueError, match="unit kets"):
-        defect_gradient(V, Strict(), frame)
-    # a frame whose last two kets coincide: a unit coordinate row can then
-    # encode the zero vector, which the block kernel must refuse
-    twin = frame[:-1] + frame[-2:-1]
-    V = W.copy()
-    V[-1] = 0.0
-    V[-1, -4], V[-1, -2] = 2**-0.5, -(2**-0.5)
-    with pytest.raises(ValueError, match="near-zero"):
-        defect_gradient(V, Strict(), twin)
+    for frame in _frames().values():
+        shape = frame[0].shape
+        for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (1,)), 2)):
+            rows = 2 * ent._kernel_path(pred, frame)[1] + 7  # three kernel blocks
+            W = _unit_rows(rng, rows, 2 * len(frame))
+            block = defect_gradient(W, pred, frame)
+            single = np.array([defect_gradient(w, pred, frame) for w in W])
+            assert np.max(np.abs(block - single)) <= 1e-12
+        V = W.copy()
+        V[-1] *= 1.5
+        with pytest.raises(ValueError, match="unit kets"):
+            defect_gradient(V, Strict(), frame)
+        # a frame whose last two kets coincide: a unit coordinate row can then
+        # encode the zero vector, which the block kernel must refuse
+        twin = frame[:-1] + frame[-2:-1]
+        V = W.copy()
+        V[-1] = 0.0
+        V[-1, -4], V[-1, -2] = 2**-0.5, -(2**-0.5)
+        with pytest.raises(ValueError, match="near-zero"):
+            defect_gradient(V, Strict(), twin)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 3, 3), (2, 2, 2, 2)])
+def test_pair_and_state_paths_agree(dims, monkeypatch):
+    shape = SystemShape(dims)
+    rng = np.random.default_rng(sum(dims) * 113)
+    for kept in sorted({1, shape.total // 2, shape.total - 2}):
+        basis = random_unitary(shape.total, rng).entries[:kept]
+        frame = orthonormal_complement([Ket(shape, row) for row in basis])
+        c = len(frame)
+        mix = np.eye(c) + 0.3 * (rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))
+        skewed = [Ket(shape, row) for row in mix @ stack_amps(frame)]
+        W = _unit_rows(rng, 40, 2 * c)
+        preds = [Strict(), GhzType(2)]
+        preds += [CutRestricted(Bipartition(shape, (s,)), 2) for s in range(len(dims))]
+        for fr in (frame, skewed):
+            for pred in preds:
+                out = {}
+                for crossover in (0, 10**12):  # state path, then pair path
+                    monkeypatch.setattr(ent, "_PAIR_MAX", crossover)
+                    out[crossover] = (
+                        defect_coords_batch(W, pred, fr),
+                        defect_gradient(W, pred, fr),
+                    )
+                (v_state, g_state), (v_pair, g_pair) = out[0], out[10**12]
+                assert np.max(np.abs(v_state - v_pair)) <= 1e-13
+                assert np.max(np.abs(g_state - g_pair)) <= 1e-12
+
+
+def test_large_complement_takes_the_state_path_uncached():
+    # the 1088-ket complement of the 33x33 maximally entangled ket would need
+    # a pair tensor of 1088^2 x 1089 entries (about 20 GB)
+    shape = SystemShape((33, 33))
+    amps = np.zeros(shape.total)
+    amps[:: 33 + 1] = 33**-0.5
+    frame = orthonormal_complement([Ket(shape, amps)])
+    assert len(frame) == 1088
+    rng = np.random.default_rng(127)
+    W = _unit_rows(rng, 3, 2 * len(frame))
+    d = _unit_rows(rng, 1, 2 * len(frame))[0]
+    h = 1e-6
+    cached = ent._pair_tensor.cache_info()
+    for pred in (Strict(), GhzType(2)):
+        assert not ent._kernel_path(pred, frame)[0]
+        vals = defect_coords_batch(W, pred, frame)
+        for w, v in zip(W, vals):
+            assert v == pytest.approx(defect(coords_to_ket(w, frame), pred), abs=1e-12)
+        g = defect_gradient(W, pred, frame)
+        assert np.max(np.abs(np.sum(g * W, axis=1))) < 1e-12
+        hi, lo = defect_coords_batch(np.array([W[0] + h * d, W[0] - h * d]), pred, frame)
+        assert np.dot(g[0], d) == pytest.approx((hi - lo) / (2 * h), abs=1e-7)
+    assert ent._pair_tensor.cache_info() == cached
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
