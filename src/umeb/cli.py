@@ -485,6 +485,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
 
+    def _parse_optional(self, arg_string):
+        try:  # argparse reads "-1e-8" or "-inf" as an option; a float is a value
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

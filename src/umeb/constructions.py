@@ -97,8 +97,8 @@ class DecomposedVector:
         rebuilt = np.zeros(shape.dims, dtype=np.complex128)
         order = np.argsort(sites)
         for t in self.terms:
-            flat = functools.reduce(np.kron, [f.amps for f in t.factors])
-            tens = flat.reshape([shape.dims[s] for s in sites])
+            tens = functools.reduce(np.multiply.outer, [f.amps for f in t.factors])
+            tens = tens.reshape([shape.dims[s] for s in sites])
             rebuilt += t.coefficient * np.transpose(tens, order)
         if np.linalg.norm(rebuilt.reshape(-1) - self.vector.amps) > 1e-12:
             raise ValueError("terms do not reconstruct the vector")

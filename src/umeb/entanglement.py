@@ -139,8 +139,8 @@ def _reduced_state(v: Ket, cut: Bipartition) -> np.ndarray:
     if cut.shape != v.shape:
         raise ValueError(f"cut is over {cut.shape}, ket is over {v.shape}")
     _check_unit(v)
-    ((_, _, rho),) = _cut_blocks(v.amps[None, :], v.shape, (_cut_step(cut),))
-    return rho[0]
+    ((_, _, rho),) = _cut_blocks(v.amps[:, None], v.shape, (_cut_step(cut),))
+    return rho[..., 0]
 
 
 def _schmidt(rho: np.ndarray) -> np.ndarray:
@@ -190,8 +190,8 @@ def is_maximally_entangled(v: Ket, pred: Predicate, tol: float = 1e-8) -> Entang
     """Evaluate a maximal-entanglement predicate on a unit ket, per cut."""
     _check_unit(v)
     cuts = predicate_cuts(pred, v.shape)
-    blocks = _cut_blocks(v.amps[None, :], v.shape, _cut_plan(pred, v.shape))
-    residuals = tuple((cut, _residual(rho[0], pred)) for cut, (_, _, rho) in zip(cuts, blocks))
+    blocks = _cut_blocks(v.amps[:, None], v.shape, _cut_plan(pred, v.shape))
+    residuals = tuple((cut, _residual(rho[..., 0], pred)) for cut, (_, _, rho) in zip(cuts, blocks))
     return EntanglementCheck(ok=all(r < tol for _, r in residuals), residuals=residuals)
 
 
@@ -209,7 +209,7 @@ def defect(v: Ket, pred: Predicate) -> float:
     as a block of one row.
     """
     _check_unit(v)
-    cuts = _cut_blocks(v.amps[None, :], v.shape, _cut_plan(pred, v.shape))
+    cuts = _cut_blocks(v.amps[:, None], v.shape, _cut_plan(pred, v.shape))
     return float(_rho_defect([rho for _, _, rho in cuts], pred)[0])
 
 
@@ -221,57 +221,69 @@ def defect(v: Ket, pred: Predicate) -> float:
 # under scaling of w and under a global phase.
 #
 # The kernel forms the reduced states of a block of rows in one of two ways
-# and then shares one step from rho to the defect and one from rho to
-# dF/drho.  The state path decodes each row into its state vector, regroups
-# it across every cut into m and takes rho = m m^dagger.  The pair path
-# never forms the state vector: with A_a ket a of the frame regrouped across
-# a cut, the unnormalized reduced state is sum_ab z_a conj(z_b) A_a A_b^dagger,
-# so all cuts at once are one matrix product of z (x) conj(z), shape
-# (rows, c^2), with a cached pair tensor T, shape (c^2, K) where K sums d_A^2
-# over the cuts.  numpy pays about 0.3 us per row for every stacked product
-# of tiny matrices whatever their size; the pair path replaces the per-cut
-# m m^dagger (and its pullback) by one BLAS product per block.  T grows as
-# c^2 K, so large frames keep the state path.
+# (see _rho_blocks and README.md) and shares the steps from rho to the
+# defect and to dF/drho.  Every per-row array keeps the row axis last and
+# contiguous, so that _mm can contract tiny matrices by broadcasting, one
+# contiguous loop over the rows per numpy call, where a stacked matmul
+# pays about half a microsecond per row.
 
 
 def coords_to_ket(w: np.ndarray, frame: Sequence[Ket]) -> Ket:
     """Decode coordinates into the normalized ket they represent."""
-    _, psi, _ = next(_coord_blocks(_coord_rows(np.ravel(w), frame), stack_amps(frame), 1))
-    return Ket(frame[0].shape, psi[0])
+    v = stack_amps(frame).T @ _z_block(_coord_rows(np.ravel(w), frame), slice(0, 1))
+    return Ket(frame[0].shape, v[:, 0] * np.sqrt(_inverse_norm2(np.vdot(v, v).real)))
 
 
 # Complex amplitudes per state-path block.  Each block of rows builds its
 # state vectors, regrouped coefficient matrices and reduced states, so this
-# bounds the kernel's temporaries to a few hundred kilobytes whatever the
-# batch size.
-_BLOCK_AMPS = 4096
-# Largest c^2 K that takes the pair path.  State-path over pair-path time per
-# row for strict and ghz2 values and gradients, measured on a 2-core Xeon with
-# numpy 2.4 and BLAS on one thread: 2x3x3 (c = 6, c^2 K = 792) 1.0-2.3x,
-# 2x2x2x2 (c = 8, 4096) 1.3-3.7x, the 2x3x6 lift (c = 12, 7056) 0.9-1.4x,
-# 2x3x8 (c = 16, 12544) 0.5-1.0x, 8x8 (c = 32, 65536) 0.12-0.21x.
+# bounds the kernel's temporaries to a few megabytes whatever the batch size.
+_BLOCK_AMPS = 16384
+# Largest c^2 K that takes the pair path; see the crossover table in README.md.
 _PAIR_MAX = 4096
 # Complex entries of the widest per-row array, z (x) conj(z) or the reduced
 # states, per pair-path block.
-_PAIR_BUDGET = 16384
+_PAIR_BUDGET = 32768
+# Largest i k j for which _mm multiplies (i, k) by (k, j) matrices by
+# broadcasting; larger products go to matmul.  See README.md.
+_MM_MAX = 256
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row products of ``(i, k, rows)`` and ``(k, j, rows)`` stacks, as a
+    C-contiguous ``(i, j, rows)`` stack."""
+    (i, k, _), j = a.shape, b.shape[1]
+    if i * k * j <= _MM_MAX:
+        return (a[:, :, None, :] * b[None, :, :, :]).sum(axis=1)
+    a, b = (np.ascontiguousarray(x.transpose(2, 0, 1)) for x in (a, b))
+    return np.ascontiguousarray((a @ b).transpose(1, 2, 0))
+
+
+def _diag(a: np.ndarray) -> np.ndarray:
+    """Writable ``(d, rows)`` view of the diagonals of a C-contiguous
+    ``(d, d, rows)`` stack."""
+    return a.reshape(-1, a.shape[2])[:: a.shape[0] + 1]
+
+
+def _rdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re sum_ij a_ij conj(b_ij)`` per row of C-contiguous ``(i, j, rows)``
+    stacks: one real dot product over their float views."""
+    s = np.einsum("ijk,ijk->k", a.view(np.float64), b.view(np.float64))
+    return s[0::2] + s[1::2]
 
 
 def _cut_step(cut: Bipartition) -> tuple[tuple[int, ...], int, int]:
     """One cut's transpose permutation and (dim_a, dim_b).
 
-    The permutation acts on a batch of state tensors (axis 0 is the row) and
-    brings ``cut.sites`` to the front.
+    The permutation acts on a batch of state tensors whose last axis is the
+    row; it brings ``cut.sites`` to the front and keeps the row axis last.
     """
-    return (0,) + tuple(s + 1 for s in cut.sites + cut.other_sites), cut.dim_a, cut.dim_b
+    return cut.sites + cut.other_sites + (cut.shape.nsys,), cut.dim_a, cut.dim_b
 
 
 @functools.lru_cache(maxsize=64)
 def _cut_plan(pred: Predicate, shape) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """:func:`_cut_step` per cut the predicate reads.
-
-    CutRestricted reads its cut from the smaller side.  Computed once per
-    (predicate, shape); immutable.
-    """
+    """:func:`_cut_step` per cut the predicate reads, CutRestricted's from
+    the smaller side; cached per (predicate, shape) and immutable."""
     cuts = predicate_cuts(pred, shape)
     if isinstance(pred, CutRestricted):
         cuts = [_small_side(cuts[0])]
@@ -281,27 +293,36 @@ def _cut_plan(pred: Predicate, shape) -> tuple[tuple[tuple[int, ...], int, int],
 def defect_coords_batch(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.ndarray:
     """Defect of many coordinate vectors at once (rows of ``W``).
 
-    :func:`defect` on the coordinate encoding, one row per vector; the
-    search calls this in batches for objective values, and
-    :func:`defect_gradient` for its probes when given a finite-difference
-    ``step``.  Rows are evaluated in blocks of bounded size (see
-    :func:`_kernel_path`), so the temporaries stay bounded for any batch
-    size; every row must encode a vector of norm above 1e-6.  For
-    CutRestricted with d below the small side's dimension the batched
-    spectra come from LAPACK ``eigvalsh``.
+    :func:`defect` on the coordinate encoding, one row per vector.  Rows
+    are evaluated in blocks of bounded size (see :func:`_kernel_path`), so
+    the temporaries stay bounded for any batch size; every row must encode
+    a vector of norm above 1e-6.  For CutRestricted with d below the small
+    side's dimension the batched spectra come from LAPACK ``eigvalsh``.
     """
     W = _coord_rows(W, frame)
     out = np.empty(W.shape[0])
-    for rows, rhos, _ in _rho_blocks(W, pred, frame):
+    for rows, rhos, _, _ in _rho_blocks(W, pred, frame):
         out[rows] = _rho_defect(rhos, pred)
     return out
 
 
 def _coord_rows(W: np.ndarray, frame: Sequence[Ket]) -> np.ndarray:
-    W = np.atleast_2d(np.asarray(W, dtype=np.float64))
+    W = np.atleast_2d(np.ascontiguousarray(W, dtype=np.float64))
     if W.ndim != 2 or W.shape[1] != 2 * len(frame):
         raise ValueError(f"expected {2 * len(frame)} coordinates per row, got shape {W.shape}")
     return W
+
+
+def _z_block(W: np.ndarray, rows: slice) -> np.ndarray:
+    """The complex coordinates of ``W[rows]``, rows last: shape ``(c, rows)``."""
+    return np.ascontiguousarray(W[rows].view(np.complex128).T)
+
+
+def _inverse_norm2(vv):
+    """``1 / |v|^2`` from ``|v|^2``; raises on a row encoding a near-zero vector."""
+    if np.any(vv <= 1e-12):
+        raise ValueError("coordinates encode a near-zero vector")
+    return 1.0 / vv
 
 
 def _kernel_path(pred: Predicate, frame: Sequence[Ket]) -> tuple[bool, int]:
@@ -315,151 +336,119 @@ def _kernel_path(pred: Predicate, frame: Sequence[Ket]) -> tuple[bool, int]:
 
 
 def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]):
-    """Yield ``(rows, rhos, pull)`` per kernel block of coordinate rows.
+    """Yield ``(rows, rhos, inv, pull)`` per kernel block of coordinate rows.
 
-    ``rows`` slices ``W``; ``rhos`` holds, per cut of the predicate's
-    :func:`_cut_plan`, the reduced states of the unit vectors the rows
-    encode.  ``pull`` maps one :func:`_rho_gradient` per cut to the
-    gradient in the complex coordinates ``z``, laid out so that its real
-    and imaginary parts are the gradient in ``w``.  Raises on a row
-    encoding a near-zero vector.  The pair path builds its tensor once per
-    frame; the state path restacks the frame on every call, so that no
-    cache pins a large frame.
+    ``rows`` slices ``W``; per cut of the predicate's :func:`_cut_plan`,
+    ``rhos`` holds the ``(d_A, d_A, rows)`` states ``rho~`` of ``v = z @
+    amps`` times ``inv = 1 / |v|^2``, the inverse trace of the first cut's
+    (which holds for any frame, orthonormal or not).  ``pull`` maps one
+    :func:`_rho_gradient` ``G`` per cut to ``|v|^2 / 2`` times the ``(c,
+    rows)`` gradient in ``z``, whose real and imaginary parts are the
+    gradient in ``w``.  Raises on a row encoding a near-zero vector.  The
+    pair path reads every cut's ``rho~`` off one product ``T^T @ (z (x)
+    conj z)``, shape ``(K, rows)``; the state path restacks the frame on
+    every call, so that no cache pins a large frame.
     """
-    shape = frame[0].shape
+    shape, c = frame[0].shape, len(frame)
     plan = _cut_plan(pred, shape)
     pair, block = _kernel_path(pred, frame)
     if pair:
-        return _pair_blocks(W, plan, _pair_tensor(plan, tuple(frame)), block)
-    return _state_blocks(W, shape, plan, stack_amps(frame), block)
+        Tt = _pair_tensor(plan, tuple(frame))
+        ends = np.cumsum([da * da for _, da, _ in plan])
+    else:
+        amps = stack_amps(frame)
+    for start in range(0, W.shape[0], block):
+        rows = slice(start, start + block)
+        z = _z_block(W, rows)
+        if pair:
+            r = Tt @ (z[:, None, :] * z.conj()[None, :, :]).reshape(c * c, -1)
+            rhos = [r[e - da * da : e].reshape(da, da, -1) for e, (_, da, _) in zip(ends, plan)]
+            pull = functools.partial(_pair_pull, Tt.T, z)
+        else:
+            cuts = list(_cut_blocks(amps.T @ z, shape, plan))
+            rhos = [rho for _, _, rho in cuts]
+            pull = functools.partial(_state_pull, cuts, amps, shape)
+        inv = _inverse_norm2(_diag(rhos[0]).real.sum(axis=0))
+        for rho in rhos:
+            rho *= inv
+        yield rows, rhos, inv, pull
 
 
 @functools.lru_cache(maxsize=32)
 def _pair_tensor(plan, frame: tuple[Ket, ...]) -> np.ndarray:
-    """The pair tensor ``T`` of a frame, shape ``(c^2, K)``.
+    """The transposed pair tensor ``T^T`` of a frame, C-contiguous, shape ``(K, c^2)``.
 
-    Row ``a c + b`` holds ``A_a A_b^dagger`` for every cut of ``plan``,
-    flattened row-major and concatenated in plan order.  Cached per (plan,
-    frame): :class:`Ket` is frozen, its amplitudes are read-only and it
-    hashes by identity.
+    Row ``a c + b`` of ``T`` holds ``A_a A_b^dagger`` for every cut of
+    ``plan``, flattened row-major and concatenated in plan order.  Cached
+    per (plan, frame): :class:`Ket` is frozen, its amplitudes are read-only
+    and it hashes by identity.
     """
-    c = len(frame)
-    t = stack_amps(frame).reshape((c,) + frame[0].shape.dims)
-    parts = []
-    for perm, da, db in plan:
-        a = np.transpose(t, perm).reshape(c, da, db)
-        parts.append(np.einsum("aik,bjk->abij", a, a.conj()).reshape(c * c, da * da))
-    T = np.concatenate(parts, axis=1)
-    T.setflags(write=False)
-    return T
+    cuts = _cut_blocks(stack_amps(frame).T, frame[0].shape, plan)  # m[:, :, a] is A_a
+    ts = (np.einsum("ika,jkb->ijab", m, m.conj()) for _, m, _ in cuts)
+    Tt = np.concatenate([t.reshape(-1, len(frame) ** 2) for t in ts])
+    Tt.setflags(write=False)
+    return Tt
 
 
-def _pair_blocks(W: np.ndarray, plan, T: np.ndarray, block: int):
-    """:func:`_rho_blocks` on the pair path.
-
-    Every cut's state ``rho~`` of ``v = z @ amps`` is read off one product
-    ``(z (x) conj z) @ T``; ``|v|^2`` is the trace of the first cut's, which
-    holds for any frame, orthonormal or not.
-    """
-    c = W.shape[1] // 2
-    da0 = plan[0][1]
-    ends = np.cumsum([da * da for _, da, _ in plan])
-    for start in range(0, W.shape[0], block):
-        rows = slice(start, start + block)
-        z = W[rows, 0::2] + 1j * W[rows, 1::2]
-        r = (z[:, :, None] * z[:, None, :].conj()).reshape(-1, c * c) @ T
-        vv = sum(r[:, i * (da0 + 1)].real for i in range(da0))
-        if np.any(vv <= 1e-12):
-            raise ValueError("coordinates encode a near-zero vector")
-        r *= (1.0 / vv)[:, None]
-        rhos = [r[:, e - da * da : e].reshape(-1, da, da) for e, (_, da, _) in zip(ends, plan)]
-        yield rows, rhos, functools.partial(_pair_pull, T, z, vv)
-
-
-def _pair_pull(T: np.ndarray, z: np.ndarray, vv: np.ndarray, gs) -> np.ndarray:
-    """Pull each cut's ``G`` back to ``z`` on the pair path.
+def _pair_pull(T: np.ndarray, z: np.ndarray, gs) -> np.ndarray:
+    """``pull`` on the pair path.
 
     With ``B_ab = A_a A_b^dagger`` (row ``a c + b`` of ``T``), ``rho~ =
-    sum_ab z_a conj(z_b) B_ab`` and ``df = Re tr(G drho~) /
-    |v|^2`` (``G`` already traceless against rho), ``Q_ab = tr(G B_ab)`` is
-    one product with ``T^T``, and the gradient is ``2 sum_a z_a Q_ab /
-    |v|^2``.
+    sum_ab z_a conj(z_b) B_ab`` and ``df = Re tr(G drho~) / |v|^2``
+    (``G`` is traceless against rho), so with ``Q_ab = tr(G B_ab)``, one
+    product ``T @ conj(G)``, the gradient is ``2 sum_a z_a Q_ab / |v|^2``.
     """
-    n, c = z.shape
-    q = np.concatenate([g.reshape(n, -1) for g in gs], axis=1).conj() @ T.T
-    return 2.0 * np.einsum("na,nab->nb", z, q.reshape(n, c, c)) / vv[:, None]
+    c, n = z.shape
+    q = T @ np.concatenate([g.reshape(-1, n) for g in gs]).conj()
+    return (z[:, None, :] * q.reshape(c, c, n)).sum(axis=0)
 
 
-def _state_blocks(W: np.ndarray, shape, plan, amps: np.ndarray, block: int):
-    """:func:`_rho_blocks` on the state path."""
-    for rows, psi, norms in _coord_blocks(W, amps, block):
-        cuts = list(_cut_blocks(psi, shape, plan))
-        pull = functools.partial(_state_pull, cuts, amps, norms, shape)
-        yield rows, [rho for _, _, rho in cuts], pull
+def _state_pull(cuts, amps: np.ndarray, shape, gs) -> np.ndarray:
+    """``pull`` on the state path.
 
-
-def _state_pull(cuts, amps: np.ndarray, norms: np.ndarray, shape, gs) -> np.ndarray:
-    """Pull each cut's ``G`` back to ``z`` on the state path.
-
-    With ``rho = m m^dagger``, ``df = Re tr(G drho) = Re <2 G m, dm>``, so
-    ``2 G m`` is the gradient in ``m``; it is added back into state-vector
-    order through the cut's transposed view, then taken through ``psi = v /
-    |v|`` and ``v = z @ amps``.  ``G`` is traceless against rho, so the sum
-    has no radial part.
+    With ``rho~ = m m^dagger``, ``df = Re tr(G drho~) / |v|^2 = Re <2 G m,
+    dm> / |v|^2``; ``G m`` is added back into state-vector order through
+    each cut's transposed view, then taken through ``v = z @ amps``.
     """
-    n = len(norms)
-    h = np.zeros((n,) + shape.dims, dtype=np.complex128)
+    n = cuts[0][1].shape[2]
+    h = np.zeros(shape.dims + (n,), dtype=np.complex128)
     for (perm, m, _), g in zip(cuts, gs):
         hp = np.transpose(h, perm)
-        hp += (2.0 * (g @ m)).reshape(hp.shape)
-    return (h.reshape(n, -1) / norms[:, None]) @ amps.conj().T
-
-
-def _coord_blocks(W: np.ndarray, amps: np.ndarray, block: int):
-    """Yield ``(rows, psi, norms)`` per block of ``block`` coordinate rows.
-
-    ``rows`` slices ``W``; ``psi`` holds the unit state vectors the rows
-    encode in the frame ``amps`` and ``norms`` their norms before
-    normalization.  Raises on a row encoding a near-zero vector.
-    """
-    for start in range(0, W.shape[0], block):
-        rows = slice(start, start + block)
-        vecs = (W[rows, 0::2] + 1j * W[rows, 1::2]) @ amps
-        norms = np.linalg.norm(vecs, axis=1)
-        if np.any(norms <= 1e-6):
-            raise ValueError("coordinates encode a near-zero vector")
-        yield rows, vecs / norms[:, None], norms
+        hp += _mm(g, m).reshape(hp.shape)
+    return amps.conj() @ h.reshape(-1, n)
 
 
 def _cut_blocks(psi: np.ndarray, shape, plan):
     """Yield ``(perm, m, rho)`` per cut of a :func:`_cut_plan`.
 
-    ``m`` is the block's coefficient matrices across the cut, taken from
-    the state tensors transposed by ``perm``, and ``rho = m m^dagger`` the
-    reduced states on the cut's first side.
+    ``m`` is the block's ``(d_A, d_B, rows)`` coefficient matrices across
+    the cut, taken from the ``(total, rows)`` states transposed by
+    ``perm``, and ``rho = m m^dagger`` the states on the cut's first side.
     """
-    n = psi.shape[0]
-    t = psi.reshape((n,) + shape.dims)
+    n = psi.shape[1]
+    t = psi.reshape(shape.dims + (n,))
     for perm, da, db in plan:
-        m = np.transpose(t, perm).reshape(n, da, db)
-        yield perm, m, m @ m.conj().transpose(0, 2, 1)
+        m = np.transpose(t, perm).reshape(da, db, n)
+        yield perm, m, _mm(m, m.conj().transpose(1, 0, 2))
 
 
 def _rho_defect(rhos, pred: Predicate) -> np.ndarray:
-    """Defects from each cut's reduced states (one ``(n, d_A, d_A)`` array per cut)."""
-    out = np.zeros(rhos[0].shape[0])
+    """Defects from each cut's reduced states (one ``(d_A, d_A, n)`` array per cut)."""
+    out = np.zeros(rhos[0].shape[2])
     for rho in rhos:
-        da = rho.shape[1]
+        da = rho.shape[0]
         if isinstance(pred, CutRestricted) and pred.d < da:
-            mu = np.linalg.eigvalsh(rho)[:, ::-1]
+            mu = np.linalg.eigvalsh(rho.transpose(2, 0, 1))[:, ::-1]
             top, rest = mu[:, : pred.d], mu[:, pred.d :]
             out += np.sum((top - 1.0 / pred.d) ** 2, axis=1) + np.sum(rest**2, axis=1)
             continue
-        if isinstance(pred, GhzType):
-            x = rho @ rho - rho / pred.d
+        if isinstance(pred, GhzType):  # X = rho^2 - rho/d
+            x = _mm(rho, rho)
+            x -= (1.0 / pred.d) * rho
         else:  # Strict, or CutRestricted with d = da: sum_i (mu_i - 1/d)^2 = ||rho - I/d||^2
-            x = rho - np.eye(da) / da
-        out += np.sum(np.abs(x) ** 2, axis=(1, 2))
+            x = rho.copy()
+            _diag(x)[...] -= 1.0 / da
+        out += _rdot(x, x)
     return out
 
 
@@ -470,19 +459,28 @@ def _rho_gradient(rho: np.ndarray, pred: Predicate) -> np.ndarray:
     paths normalize, ``rho = rho~ / tr rho~``, and ``tr drho~`` is the same
     on every cut, so ``df = sum over cuts of Re tr(G drho~) / tr rho~``:
     subtracting the trace term is the chain rule through the normalization.
+    For GhzType, ``rho X`` is taken as ``(X rho)^dagger``, since both are
+    Hermitian.
     """
-    da = rho.shape[1]
+    da = rho.shape[0]
     if isinstance(pred, CutRestricted) and pred.d < da:
-        mu, u = np.linalg.eigh(rho)  # ascending, so the 1/d targets come last
+        mu, u = np.linalg.eigh(rho.transpose(2, 0, 1))  # ascending, so the 1/d targets come last
         target = np.zeros(da)
         target[da - pred.d :] = 1.0 / pred.d
         g = (u * (2.0 * (mu - target))[:, None, :]) @ u.conj().transpose(0, 2, 1)
+        g = np.ascontiguousarray(g.transpose(1, 2, 0))
     elif isinstance(pred, GhzType):
-        x = rho @ rho - rho / pred.d
-        g = 2.0 * (x @ rho + rho @ x - x / pred.d)
+        x = _mm(rho, rho)
+        x -= (1.0 / pred.d) * rho
+        g = _mm(x, rho)
+        g += g.conj().transpose(1, 0, 2)
+        g -= (1.0 / pred.d) * x
+        g *= 2.0
     else:  # Strict, or CutRestricted with d = da: 2 (rho - I/d)
-        g = 2.0 * (rho - np.eye(da) / da)
-    return g - np.einsum("nij,nji->n", g, rho).real[:, None, None] * np.eye(da)
+        g = 2.0 * rho
+        _diag(g)[...] -= 2.0 / da
+    _diag(g)[...] -= _rdot(g, rho)  # Re tr(G rho), both Hermitian
+    return g
 
 
 def defect_gradient(
@@ -493,21 +491,15 @@ def defect_gradient(
 ) -> np.ndarray:
     """Gradient of the coordinate-form defect.
 
-    ``W`` is one coordinate vector or an ``(m, 2c)`` block of them; the
-    result has the same shape, one gradient per row.  Every row must
-    encode a unit ket within 1e-8.
-
-    By default the gradient is exact, in closed form: per cut ``G =
-    df/drho`` from the reduced state (see :func:`_rho_gradient`), pulled
-    back through the normalization and the frame by the same kernel block
-    that formed rho (see :func:`_rho_blocks`).  The objective
-    renormalizes, so radial (scale) and global-phase directions carry no
-    gradient.
-
-    With a ``step``, the gradient is taken by central finite differences
-    instead: all 2 * 2c probes of all rows go to
-    :func:`defect_coords_batch` in one call.  This is the reference the
-    closed form is tested against.
+    ``W`` is one coordinate vector or an ``(m, 2c)`` block of them, each
+    encoding a unit ket within 1e-8; the result has the same shape.  By
+    default the gradient is exact: per cut ``G = df/drho`` (see
+    :func:`_rho_gradient`), pulled back through the normalization and the
+    frame by the kernel block that formed rho (see :func:`_rho_blocks`).
+    Radial (scale) and global-phase directions carry no gradient.  With a
+    ``step`` it is taken by central finite differences instead, all 2 * 2c
+    probes of all rows in one :func:`defect_coords_batch` call: the
+    reference the closed form is tested against.
     """
     w = np.asarray(W, dtype=np.float64)
     W = _coord_rows(w, frame)
@@ -516,10 +508,9 @@ def defect_gradient(
         raise ValueError("coordinate vectors must encode unit kets (norm within 1e-8 of 1)")
     if step is None:
         grads = np.empty_like(W)
-        for rows, rhos, pull in _rho_blocks(W, pred, frame):
-            gz = pull([_rho_gradient(rho, pred) for rho in rhos])
-            grads[rows, 0::2] = gz.real
-            grads[rows, 1::2] = gz.imag
+        for rows, rhos, inv, pull in _rho_blocks(W, pred, frame):
+            gz = pull([_rho_gradient(rho, pred) for rho in rhos]) * (2.0 * inv)
+            grads[rows].view(np.complex128)[...] = gz.T
     else:
         eye = np.eye(n) * step
         probes = np.concatenate([W[:, None, :] + eye, W[:, None, :] - eye], axis=1)

@@ -81,6 +81,8 @@ class SearchConfig:
             raise ValueError("shrink must lie in (0, 1)")
         if self.step <= 0.0 or self.grad_tol <= 0.0:
             raise ValueError("step and grad_tol must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 # Restarts one descent steps together.  Larger searches run in groups of
@@ -218,8 +220,9 @@ def unextendibility_search(
     :func:`minimize_on_sphere` block; each row still follows its own
     descent.  Restart ``r`` draws its start from
     ``default_rng((cfg.seed, r))``, so results are reproducible run to
-    run.  Among restarts tying for the minimum (within 1e-12) the lowest
-    restart index supplies the argmin.  ``witness_tol`` must be finite and
+    run.  Among restarts tying for the minimum (within a relative 1e-12)
+    the lowest restart index supplies the argmin, so the argmin's defect is
+    ``min_defect`` to rounding.  ``witness_tol`` must be finite and
     nonnegative.
     """
     _check_tol("witness_tol", witness_tol)
@@ -248,7 +251,7 @@ def unextendibility_search(
         finals_w.append(W)
         finals_f.extend(float(x) for x in f)
     fmin = min(finals_f)
-    best = next(r for r, f in enumerate(finals_f) if f <= fmin + 1e-12)
+    best = next(r for r, f in enumerate(finals_f) if f <= fmin * (1.0 + 1e-12))
     best_w = finals_w[best // _LOCKSTEP][best % _LOCKSTEP]
     argmin = coords_to_ket(best_w, frame)
     found = fmin <= witness_tol

@@ -185,7 +185,7 @@ def test_overlap_writes_csv(tmp_path, capsys):
     assert float(first[1]) == pytest.approx(6**-0.5, abs=1e-14)
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "-1e-8", "-inf"])
 def test_overlap_rejects_non_finite_or_negative_tol(capsys, tol):
     code, out, err = run(capsys, "overlap", "meb8", "meb8", "--tol", tol)
     assert code == 1
@@ -193,13 +193,21 @@ def test_overlap_rejects_non_finite_or_negative_tol(capsys, tol):
     assert "tol must be finite and nonnegative" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "-1e-3"])
 def test_search_rejects_non_finite_or_negative_witness_tol(capsys, tol):
     argv = ("search", "umeb-2x3x3-1", "--predicate", "cut1", "--restarts", "2")
     code, out, err = run(capsys, *argv, "--witness-tol", tol)
     assert code == 1
     assert out == ""
     assert "witness_tol must be finite and nonnegative" in err
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_negative_seed_exits_one_naming_seed(capsys, command):
+    code, out, err = run(capsys, command, "umeb-2x3-1", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert "seed must be nonnegative" in err
 
 
 def test_demo_prints_headline_facts(capsys):

@@ -535,6 +535,61 @@ def test_pair_and_state_paths_agree(dims, monkeypatch):
                 assert np.max(np.abs(g_state - g_pair)) <= 1e-12
 
 
+def _einsum_defect_and_gradient(w, pred, frame):
+    # per row, with reduced states and (D (x) I_B) v by einsum on the state
+    # tensor: df = 2 Re <g, dv> with g = ((D (x) I_B) v - tr(D rho) v) / |v|^2
+    # summed over the cuts, D = dF/drho, so df/dz = 2 conj(amps) g
+    shape = frame[0].shape
+    amps = stack_amps(frame)
+    v = ((w[0::2] + 1j * w[1::2]) @ amps).reshape(shape.dims)
+    vv = np.vdot(v, v).real
+    f, g = 0.0, np.zeros(shape.dims, dtype=complex)
+    for cut in predicate_cuts(pred, shape):
+        if isinstance(pred, CutRestricted):
+            cut = _small_side(cut)
+        left = "abcdefgh"[: shape.nsys]
+        right = "".join("ABCDEFGH"[s] if s in cut.sites else left[s] for s in range(shape.nsys))
+        out = "".join(left[s] for s in cut.sites) + "".join(right[s] for s in cut.sites)
+        rho = np.einsum(f"{left},{right}->{out}", v, v.conj()).reshape(cut.dim_a, cut.dim_a) / vv
+        if isinstance(pred, GhzType):
+            X = rho @ rho - rho / pred.d
+            D = 2 * (X @ rho + rho @ X - X / pred.d)
+        else:
+            X = rho - np.eye(cut.dim_a) / cut.dim_a
+            D = 2 * X
+        f += np.sum(np.abs(X) ** 2)
+        site_dims = [shape.dims[s] for s in cut.sites]
+        Dv = np.einsum(f"{out},{right}->{left}", D.reshape(site_dims + site_dims), v)
+        g += (Dv - np.trace(D @ rho).real * v) / vv
+    gz = 2 * amps.conj() @ g.ravel()
+    return f, np.column_stack([gz.real, gz.imag]).ravel()
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 3), (2, 3, 6), (4, 4, 4), (8, 8)])
+def test_rows_last_kernel_matches_einsum_oracle_on_both_sides_of_mm_rule(dims, monkeypatch):
+    # the cuts' tiny products run from 2x2x2 to 8x8x8, so at the default
+    # rule both the broadcast and the matmul branch of _mm are taken; each
+    # rule is also forced everywhere
+    shape = SystemShape(dims)
+    rng = np.random.default_rng(sum(dims) * 131)
+    basis = random_unitary(shape.total, rng).entries[: shape.total // 2]
+    frame = orthonormal_complement([Ket(shape, row) for row in basis])
+    c = len(frame)
+    mix = np.eye(c) + 0.3 * (rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))
+    skewed = [Ket(shape, row) for row in mix @ stack_amps(frame)]
+    W = _unit_rows(rng, 3, 2 * c)
+    cut1 = CutRestricted(Bipartition(shape, (0,)), dims[0])
+    for fr in (frame, skewed):
+        for pred in (Strict(), GhzType(2), cut1):
+            oracle = [_einsum_defect_and_gradient(w, pred, fr) for w in W]
+            values, grads = (np.array(col) for col in zip(*oracle))
+            for mm_max in (0, ent._MM_MAX, 10**9):  # all matmul, the rule, all broadcast
+                monkeypatch.setattr(ent, "_MM_MAX", mm_max)
+                assert np.max(np.abs(defect_coords_batch(W, pred, fr) - values)) <= 1e-13
+                assert np.max(np.abs(defect_gradient(W, pred, fr) - grads)) <= 1e-12
+            monkeypatch.undo()
+
+
 def test_large_complement_takes_the_state_path_uncached():
     # the 1088-ket complement of the 33x33 maximally entangled ket would need
     # a pair tensor of 1088^2 x 1089 entries (about 20 GB)

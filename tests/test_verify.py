@@ -80,6 +80,12 @@ def test_search_config_validation():
         SearchConfig(grad_tol=-1.0)
 
 
+def test_search_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SearchConfig(seed=-1)
+    assert SearchConfig(seed=0).seed == 0
+
+
 def quadratic(diag):
     """Block callbacks of w.Aw for diagonal A; its minimum on the unit
     sphere is the smallest eigenvalue, reached at the matching unit vector."""
@@ -275,6 +281,23 @@ def test_proper_subsets_of_meb8_extend():
             assert is_maximally_entangled(res.witness, Strict()).ok
             cross = stack_amps(part.kets).conj() @ res.witness.amps
             assert np.max(np.abs(cross)) <= 1e-10
+
+
+@pytest.mark.parametrize("subset", [(0, 2, 3, 4), (1, 4, 5, 6), (1, 2, 3, 4, 6), (1, 2, 3, 4, 7)])
+def test_witness_is_the_minimizing_restart(subset):
+    # restarts on these subsets stop at defects from about 1e-22 to 1e-16;
+    # an absolute 1e-12 tie once returned a 1e-16 restart as the witness,
+    # whose strict residual (about 1e-8) failed the package's own check
+    m8 = meb8()
+    part = LabeledBasis(
+        "part",
+        m8.shape,
+        tuple(m8.labels[i] for i in subset),
+        tuple(m8.vectors[i] for i in subset),
+    )
+    res = unextendibility_search(part, Strict(), small_cfg())
+    assert res.verdict == "me_state_found"
+    assert is_maximally_entangled(res.witness, Strict()).ok
 
 
 def test_search_finds_witness_under_cut_predicate():
