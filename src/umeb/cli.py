@@ -486,7 +486,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
     def _parse_optional(self, arg_string):
-        try:  # argparse reads "-1e-8" or "-inf" as an option; a float is a value
+        # argparse reads "-1e-8" or "-inf" as an option; a float is a value.
+        # This overrides a private method, in which a None return marks a
+        # positional argument.  Checked against CPython 3.11's argparse; its
+        # option return type differs between versions, so re-check this on
+        # a Python upgrade (tests/test_cli.py covers it).
+        try:
             float(arg_string)
         except ValueError:
             return super()._parse_optional(arg_string)

@@ -236,26 +236,20 @@ def coords_to_ket(w: np.ndarray, frame: Sequence[Ket]) -> Ket:
 
 # Complex amplitudes per state-path block.  Each block of rows builds its
 # state vectors, regrouped coefficient matrices and reduced states, so this
-# bounds the kernel's temporaries to a few megabytes whatever the batch size.
+# bounds the kernel's temporaries whatever the batch size; the largest, the
+# broadcast product m m^dagger, holds d_A times this many entries.
 _BLOCK_AMPS = 16384
 # Largest c^2 K that takes the pair path; see the crossover table in README.md.
 _PAIR_MAX = 4096
 # Complex entries of the widest per-row array, z (x) conj(z) or the reduced
 # states, per pair-path block.
 _PAIR_BUDGET = 32768
-# Largest i k j for which _mm multiplies (i, k) by (k, j) matrices by
-# broadcasting; larger products go to matmul.  See README.md.
-_MM_MAX = 256
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row products of ``(i, k, rows)`` and ``(k, j, rows)`` stacks, as a
-    C-contiguous ``(i, j, rows)`` stack."""
-    (i, k, _), j = a.shape, b.shape[1]
-    if i * k * j <= _MM_MAX:
-        return (a[:, :, None, :] * b[None, :, :, :]).sum(axis=1)
-    a, b = (np.ascontiguousarray(x.transpose(2, 0, 1)) for x in (a, b))
-    return np.ascontiguousarray((a @ b).transpose(1, 2, 0))
+    C-contiguous ``(i, j, rows)`` stack, by broadcasting and summing over k."""
+    return (a[:, :, None, :] * b[None, :, :, :]).sum(axis=1)
 
 
 def _diag(a: np.ndarray) -> np.ndarray:

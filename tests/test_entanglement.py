@@ -566,10 +566,8 @@ def _einsum_defect_and_gradient(w, pred, frame):
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 3), (2, 3, 6), (4, 4, 4), (8, 8)])
-def test_rows_last_kernel_matches_einsum_oracle_on_both_sides_of_mm_rule(dims, monkeypatch):
-    # the cuts' tiny products run from 2x2x2 to 8x8x8, so at the default
-    # rule both the broadcast and the matmul branch of _mm are taken; each
-    # rule is also forced everywhere
+def test_rows_last_kernel_matches_einsum_oracle(dims):
+    # the cuts' tiny products run from 2x2x2 to 8x8x8, on both kernel paths
     shape = SystemShape(dims)
     rng = np.random.default_rng(sum(dims) * 131)
     basis = random_unitary(shape.total, rng).entries[: shape.total // 2]
@@ -583,11 +581,8 @@ def test_rows_last_kernel_matches_einsum_oracle_on_both_sides_of_mm_rule(dims, m
         for pred in (Strict(), GhzType(2), cut1):
             oracle = [_einsum_defect_and_gradient(w, pred, fr) for w in W]
             values, grads = (np.array(col) for col in zip(*oracle))
-            for mm_max in (0, ent._MM_MAX, 10**9):  # all matmul, the rule, all broadcast
-                monkeypatch.setattr(ent, "_MM_MAX", mm_max)
-                assert np.max(np.abs(defect_coords_batch(W, pred, fr) - values)) <= 1e-13
-                assert np.max(np.abs(defect_gradient(W, pred, fr) - grads)) <= 1e-12
-            monkeypatch.undo()
+            assert np.max(np.abs(defect_coords_batch(W, pred, fr) - values)) <= 1e-13
+            assert np.max(np.abs(defect_gradient(W, pred, fr) - grads)) <= 1e-12
 
 
 def test_large_complement_takes_the_state_path_uncached():
