@@ -42,7 +42,7 @@ for label, ket in zip(basis.labels, basis.kets):
     chk = is_maximally_entangled(ket, Strict())
     print(f"  {label}: max residual {chk.max_residual:.3e} -> {'ok' if chk.ok else 'FAIL'}")
 
-g = gram_matrix(basis.kets).entries
+g = gram_matrix(basis.kets)
 print(f"\nlargest off-diagonal Gram entry: {np.max(np.abs(g - np.eye(8))):.3e}")
 print("conclusion: the whole 8-dimensional space is spanned by maximally")
 print("entangled states; nothing here can be unextendible.")

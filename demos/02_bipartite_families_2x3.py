@@ -28,7 +28,7 @@ for family in (umeb_2x3_type1(), umeb_2x3_type2()):
 
     cut = Bipartition(family.shape, (0,))
     for label, ket in zip(family.labels, family.kets):
-        sc = schmidt_coefficients(ket, cut).coefficients
+        sc = schmidt_coefficients(ket, cut)
         print(f"  {label}: Schmidt coefficients {np.round(sc, 12)}")
 
     comp = orthonormal_complement(family.kets)

@@ -52,7 +52,7 @@ print(f"  verdict {res.verdict}, min defect {res.min_defect:.3e}")
 w = res.witness
 print(f"  witness orthogonality to the family: "
       f"{np.max(np.abs(stack_amps(family.kets).conj() @ w.amps)):.3e}")
-sc = schmidt_coefficients(w, Bipartition(family.shape, (0,))).coefficients
+sc = schmidt_coefficients(w, Bipartition(family.shape, (0,)))
 print(f"  witness Schmidt coefficients across the first cut: {np.round(sc, 9)}")
 
 # comparison: a random 12-dimensional subspace.  GHZ-type states are

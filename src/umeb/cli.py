@@ -160,6 +160,9 @@ def _as_amps(raw, what: str) -> np.ndarray:
             out[k] = complex(pair[0], pair[1])
         except OverflowError:  # a JSON integer beyond float range
             raise CliError(f"{what}: entry {k} is beyond float range")
+    big = np.flatnonzero(np.abs(out.view(np.float64)) > 1.0 + 1e-9)
+    if big.size:  # no unit vector has such a part, and its square could overflow
+        raise CliError(f"{what}: entry {big[0] // 2} has a part above 1 in magnitude")
     return out
 
 
@@ -241,6 +244,8 @@ def load_basis_file(path: str) -> LabeledBasis:
                     raise CliError(
                         f"{path}: terms[{i}] product {k}: coefficient is beyond float range"
                     )
+                if math.isfinite(coefficient) and coefficient > 1.0 + 1e-9:
+                    raise CliError(f"{path}: terms[{i}] product {k}: coefficient is above 1")
                 prods.append(ProductTerm(coefficient, tuple(factors)))
             terms = tuple(prods)
         try:

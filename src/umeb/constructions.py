@@ -18,7 +18,6 @@ import numpy as np
 
 from .hilbert import (
     Ket,
-    Operator,
     SystemShape,
     apply_local,
     basis_ket,
@@ -30,7 +29,7 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 _SQ3 = 1.0 / math.sqrt(3.0)
 
 
-def pauli(k: int) -> Operator:
+def _pauli(k: int) -> np.ndarray:
     """The identity (k=0) or the k-th Pauli matrix (k=1,2,3)."""
     mats = {
         0: [[1, 0], [0, 1]],
@@ -40,7 +39,7 @@ def pauli(k: int) -> Operator:
     }
     if k not in mats:
         raise ValueError(f"pauli index must be 0..3, got {k}")
-    return Operator(np.array(mats[k], dtype=np.complex128))
+    return np.array(mats[k], dtype=np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +90,7 @@ class DecomposedVector:
                         f"slot {g_idx} factor has shape {f.shape}, expected {gdims}"
                     )
                 factors.append(f)
-            g = gram_matrix(factors).entries
+            g = gram_matrix(factors)
             if np.max(np.abs(g - np.eye(len(factors)))) > 1e-10:
                 raise ValueError(f"slot {g_idx} factors are not orthonormal")
         rebuilt = np.zeros(shape.dims, dtype=np.complex128)
@@ -144,9 +143,9 @@ class LabeledBasis:
         return stack_amps(self.kets)
 
 
-def _qubit(op: Operator, i: int) -> Ket:
+def _qubit(op: np.ndarray, i: int) -> Ket:
     """The ket op|i> for a single qubit."""
-    return Ket(SystemShape((2,)), op.entries[:, i])
+    return Ket(SystemShape((2,)), op[:, i])
 
 
 def ghz3() -> DecomposedVector:
@@ -189,7 +188,7 @@ def meb8() -> LabeledBasis:
     base = ghz3().vector
     vectors = []
     for ops_idx in _MEB8_OPS:
-        ops = [pauli(k) for k in ops_idx]
+        ops = [_pauli(k) for k in ops_idx]
         vec = apply_local(ops, base)
         terms = tuple(
             ProductTerm(_SQ2, tuple(_qubit(op, i) for op in ops)) for i in (0, 1)
@@ -203,32 +202,7 @@ def meb8() -> LabeledBasis:
     )
 
 
-def canonical_three_qubit(lams, theta: float) -> Ket:
-    """Three-qubit state with amplitudes on |000>, |100>, |101>, |110>, |111>.
-
-    ``lams`` are the five nonnegative amplitudes (squares summing to 1);
-    ``theta`` in [0, pi] is the phase on the |100> amplitude.  Every
-    three-qubit pure state is locally equivalent to one of these.
-    """
-    lams = np.asarray(lams, dtype=np.float64)
-    if lams.shape != (5,):
-        raise ValueError(f"expected 5 amplitudes, got shape {lams.shape}")
-    if np.any(lams < 0):
-        raise ValueError("amplitudes must be nonnegative")
-    if abs(np.sum(lams**2) - 1.0) > 1e-10:
-        raise ValueError("squared amplitudes must sum to 1")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = lams[0]
-    amps[4] = lams[1] * np.exp(1j * theta)
-    amps[5] = lams[2]
-    amps[6] = lams[3]
-    amps[7] = lams[4]
-    return Ket(SystemShape((2, 2, 2)), amps)
-
-
-def xy_vectors() -> tuple[Ket, Ket]:
+def _xy_vectors() -> tuple[Ket, Ket]:
     """The fixed orthonormal pair |x>, |y> in C^3 used by the second family."""
     c3 = SystemShape((3,))
     x = Ket(c3, _SQ3 * np.array([1.0, (1.0 + math.sqrt(3) * 1j) / 2.0, 1.0]))
@@ -246,10 +220,10 @@ def _bipartite_family(name: str, labels: tuple[str, ...], b0: Ket, b1: Ket) -> L
         np.kron(np.array([1, 0], dtype=np.complex128), b0.amps)
         + np.kron(np.array([0, 1], dtype=np.complex128), b1.amps)
     ) * _SQ2
-    eye3 = Operator(np.eye(3, dtype=np.complex128))
+    eye3 = np.eye(3, dtype=np.complex128)
     vectors = []
     for i in range(4):
-        sig = pauli(i)
+        sig = _pauli(i)
         vec = apply_local([sig, eye3], Ket(shape, core))
         terms = (
             ProductTerm(_SQ2, (_qubit(sig, 0), b0)),
@@ -277,7 +251,7 @@ def umeb_2x3_type1() -> LabeledBasis:
 
 def umeb_2x3_type2() -> LabeledBasis:
     """Second unextendible family in 2x3: Paulis acting on (|0x>+|1y>)/sqrt(2)."""
-    x, y = xy_vectors()
+    x, y = _xy_vectors()
     return _bipartite_family("umeb-2x3-2", tuple(f"psi{i}" for i in range(4)), x, y)
 
 
@@ -338,7 +312,7 @@ def _tripartite_family(
     labels = []
     vectors = []
     for i in range(4):
-        sig = pauli(i)
+        sig = _pauli(i)
         for j in range(3):
             tag0 = basis_ket(c3, (j,))
             tag1 = basis_ket(c3, ((j + 1) % 3,))
@@ -376,7 +350,7 @@ def umeb_2x3x3_first() -> LabeledBasis:
 
 def umeb_2x3x3_second() -> LabeledBasis:
     """Second unextendible family in 2x3x3, built on the |x>, |y> pair."""
-    x, y = xy_vectors()
+    x, y = _xy_vectors()
     return _tripartite_family("umeb-2x3x3-2", "psi", x, y)
 
 

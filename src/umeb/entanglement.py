@@ -4,9 +4,10 @@ Three notions of "maximally entangled" coexist here, because they genuinely
 differ once the local dimensions are unequal:
 
 * :class:`Strict` -- the reduced state equals I/dim(H_A) on every
-  bipartition.  In 2x3x3 no state satisfies this (a rank-2 coefficient
-  matrix cannot produce I/3), so verdicts under it are uniformly negative
-  there; they are still reported.
+  bipartition.  The lifted 2x3x3 family vectors miss it on the two
+  3-dimensional cuts (their coefficient matrices have rank 2 there), but
+  other 2x3x3 states meet it, e.g. (|0>Phi_0 + |1>Phi_1)/sqrt(2) with
+  Phi_k = sum_j |j, j+k mod 3>/sqrt(3).
 * :class:`GhzType` -- on every bipartition the reduced state has exactly
   ``d`` nonzero eigenvalues, all equal to 1/d.  The GHZ state satisfies
   this with d=2 in 2x2x2, and so do the lifted 2x3x3 bases.
@@ -29,7 +30,6 @@ import numpy as np
 from .hilbert import (
     Bipartition,
     Ket,
-    Operator,
     all_bipartitions,
     hermitian_eigenvalues,
     stack_amps,
@@ -83,32 +83,21 @@ def predicate_cuts(pred: Predicate, shape) -> list[Bipartition]:
     if isinstance(pred, CutRestricted):
         if pred.cut.shape != shape:
             raise ValueError(f"predicate cut is over {pred.cut.shape}, state is over {shape}")
-        _check_d(pred.d, shape)
+        small = min(pred.cut.dim_a, pred.cut.dim_b)
+        if pred.d > small:
+            raise ValueError(f"parameter d={pred.d} exceeds the cut's smaller side, {small}")
         return [pred.cut]
     if isinstance(pred, (Strict, GhzType)):
-        if isinstance(pred, GhzType):
-            _check_d(pred.d, shape)
+        if isinstance(pred, GhzType) and pred.d > min(shape.dims):
+            raise ValueError(
+                f"predicate parameter d={pred.d} exceeds the smallest subsystem "
+                f"dimension of {shape}"
+            )
         cuts = all_bipartitions(shape)
         if not cuts:
             raise ValueError("predicate needs at least two subsystems")
         return cuts
     raise TypeError(f"unknown predicate {pred!r}")
-
-
-def _check_d(d: int, shape) -> None:
-    if d > min(shape.dims):
-        raise ValueError(
-            f"predicate parameter d={d} exceeds the smallest subsystem dimension "
-            f"of {shape}"
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtSpectrum:
-    """Descending Schmidt coefficients of a state across one cut."""
-
-    coefficients: np.ndarray
-    cut: Bipartition
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,27 +123,18 @@ def _check_unit(v: Ket) -> None:
         raise ValueError(f"ket is not normalized (norm {v.norm():.6g})")
 
 
-def _reduced_state(v: Ket, cut: Bipartition) -> np.ndarray:
-    """Reduced state of a unit ket on ``cut.sites``, from a one-row block."""
-    if cut.shape != v.shape:
-        raise ValueError(f"cut is over {cut.shape}, ket is over {v.shape}")
-    _check_unit(v)
-    ((_, _, rho),) = _cut_blocks(v.amps[:, None], v.shape, (_cut_step(cut),))
-    return rho[..., 0]
-
-
 def _schmidt(rho: np.ndarray) -> np.ndarray:
     """Descending Schmidt coefficients from a reduced state."""
-    return np.sqrt(np.clip(hermitian_eigenvalues(Operator(rho)), 0.0, None))
+    return np.sqrt(np.clip(hermitian_eigenvalues(rho), 0.0, None))
 
 
 def _residual(rho: np.ndarray, pred: Predicate) -> float:
-    """:func:`cut_residual` from the reduced state (small side for CutRestricted)."""
+    """One cut's residual from its reduced state (small side for CutRestricted)."""
     da = rho.shape[0]
     if isinstance(pred, Strict):
         return float(np.linalg.norm(rho - np.eye(da) / da))
     if isinstance(pred, GhzType):
-        spec, level = hermitian_eigenvalues(Operator(rho)), 1.0 / pred.d
+        spec, level = hermitian_eigenvalues(rho), 1.0 / pred.d
     else:
         spec, level = _schmidt(rho), 1.0 / np.sqrt(pred.d)
     target = np.zeros(da)
@@ -162,32 +142,29 @@ def _residual(rho: np.ndarray, pred: Predicate) -> float:
     return float(np.linalg.norm(spec - target))
 
 
-def schmidt_coefficients(v: Ket, cut: Bipartition) -> SchmidtSpectrum:
+def schmidt_coefficients(v: Ket, cut: Bipartition) -> np.ndarray:
     """Schmidt coefficients of a unit ket across a cut, descending.
 
     Square roots of the reduced-state eigenvalues, computed on whichever
-    side of the cut is smaller (the nonzero spectrum is the same on both).
+    side of the cut is smaller (the nonzero spectrum is the same on both),
+    from a one-row kernel block.
     """
-    return SchmidtSpectrum(_schmidt(_reduced_state(v, _small_side(cut))), cut)
-
-
-def cut_residual(v: Ket, cut: Bipartition, pred: Predicate) -> float:
-    """Distance of one cut's reduced state from the predicate's target.
-
-    Strict: Frobenius norm of rho_A - I/dim(H_A).  GhzType(d): 2-norm
-    distance of the sorted spectrum from (1/d, ..., 1/d, 0, ...).
-    CutRestricted(d): 2-norm distance of the Schmidt coefficients, read on
-    the smaller side, from (1/sqrt(d), ..., 1/sqrt(d), 0, ...).  The
-    predicate must fit the ket's shape, as in :func:`predicate_cuts`.
-    """
-    predicate_cuts(pred, v.shape)
-    if isinstance(pred, CutRestricted):
-        cut = _small_side(cut)
-    return _residual(_reduced_state(v, cut), pred)
+    if cut.shape != v.shape:
+        raise ValueError(f"cut is over {cut.shape}, ket is over {v.shape}")
+    _check_unit(v)
+    ((_, _, rho),) = _cut_blocks(v.amps[:, None], v.shape, (_cut_step(_small_side(cut)),))
+    return _schmidt(rho[..., 0])
 
 
 def is_maximally_entangled(v: Ket, pred: Predicate, tol: float = 1e-8) -> EntanglementCheck:
-    """Evaluate a maximal-entanglement predicate on a unit ket, per cut."""
+    """Evaluate a maximal-entanglement predicate on a unit ket, per cut.
+
+    Each cut's residual is its distance from the predicate's target.
+    Strict: Frobenius norm of rho_A - I/dim(H_A).  GhzType(d): 2-norm
+    distance of the sorted spectrum from (1/d, ..., 1/d, 0, ...).
+    CutRestricted(d): 2-norm distance of the Schmidt coefficients, read on
+    the smaller side, from (1/sqrt(d), ..., 1/sqrt(d), 0, ...).
+    """
     _check_unit(v)
     cuts = predicate_cuts(pred, v.shape)
     blocks = _cut_blocks(v.amps[:, None], v.shape, _cut_plan(pred, v.shape))

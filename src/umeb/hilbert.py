@@ -84,22 +84,6 @@ class Ket:
         return abs(self.norm() - 1.0) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """Dense complex matrix (unitaries, density matrices, reduced states)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=np.complex128)
-        if entries.ndim != 2:
-            raise ValueError(f"operator must be 2-D, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries.view(np.float64))):
-            raise ValueError("operator entries must be finite")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """A split of the subsystems into ``sites`` and their complement.
@@ -157,12 +141,7 @@ def all_bipartitions(shape: SystemShape) -> list[Bipartition]:
     return cuts
 
 
-def kron(a: Ket, b: Ket) -> Ket:
-    """Tensor product of two kets (big-endian ordering)."""
-    return Ket(SystemShape(a.shape.dims + b.shape.dims), np.kron(a.amps, b.amps))
-
-
-def apply_local(ops: Sequence[Operator], v: Ket) -> Ket:
+def apply_local(ops: Sequence[np.ndarray], v: Ket) -> Ket:
     """Apply ``(U_1 (x) ... (x) U_k) |v>`` one subsystem at a time.
 
     Equivalent to multiplying by the full tensor product of the operators,
@@ -173,36 +152,30 @@ def apply_local(ops: Sequence[Operator], v: Ket) -> Ket:
     if len(ops) != len(dims):
         raise ValueError(f"need {len(dims)} operators, got {len(ops)}")
     for i, (op, d) in enumerate(zip(ops, dims)):
-        if op.entries.shape != (d, d):
-            rows, cols = op.entries.shape
-            raise ValueError(f"operator {i} is {rows}x{cols}, subsystem has dimension {d}")
+        if np.shape(op) != (d, d):
+            raise ValueError(f"operator {i} has shape {np.shape(op)}, subsystem has dimension {d}")
     t = v.amps.reshape(dims)
     for i, op in enumerate(ops):
-        t = np.moveaxis(np.tensordot(op.entries, t, axes=(1, i)), 0, i)
+        t = np.moveaxis(np.tensordot(op, t, axes=(1, i)), 0, i)
     return Ket(v.shape, t.reshape(-1))
 
 
-def inner(a: Ket, b: Ket) -> complex:
-    """Inner product ``<a|b>``, conjugate-linear in the first argument."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def hermitian_eigenvalues(m: Operator) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, descending (LAPACK ``eigvalsh``).
 
-    The matrix must be square and Hermitian within 1e-10.
+    The matrix must be 2-D, square, finite and Hermitian within 1e-10.
     """
-    a = m.entries
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix of shape {a.shape} is not square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     if float(np.abs(a - a.conj().T).max()) > 1e-10:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(a)[::-1]
 
 
-def gram_matrix(vs: Sequence[Ket]) -> Operator:
+def gram_matrix(vs: Sequence[Ket]) -> np.ndarray:
     """Matrix of pairwise inner products ``<v_i|v_j>``."""
     if not vs:
         raise ValueError("gram matrix of an empty list")
@@ -210,7 +183,7 @@ def gram_matrix(vs: Sequence[Ket]) -> Operator:
     if any(v.shape != shape for v in vs):
         raise ValueError("kets must share one shape")
     stacked = np.array([v.amps for v in vs])
-    return Operator(stacked.conj() @ stacked.T)
+    return stacked.conj() @ stacked.T
 
 
 def numerical_rank(vs: Sequence[Ket]) -> int:
@@ -252,11 +225,11 @@ def random_unit_ket(shape: SystemShape, rng: np.random.Generator) -> Ket:
     return Ket(shape, amps / np.linalg.norm(amps))
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> Operator:
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random n x n unitary via QR of a complex Gaussian matrix."""
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
-    return Operator(q * (np.diag(r) / np.abs(np.diag(r))))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def stack_amps(vs: Iterable[Ket]) -> np.ndarray:

@@ -46,7 +46,7 @@ class CompletenessCheck(NamedTuple):
 
 def check_orthonormal(basis: LabeledBasis) -> OrthonormalityCheck:
     """Max deviation of the Gram matrix from the identity; ok up to 1e-12."""
-    g = gram_matrix(basis.kets).entries
+    g = gram_matrix(basis.kets)
     residual = float(np.max(np.abs(g - np.eye(len(basis)))))
     return OrthonormalityCheck(residual <= 1e-12, residual)
 

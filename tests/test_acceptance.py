@@ -15,28 +15,26 @@ import numpy as np
 
 from umeb.cli import main
 from umeb.constructions import (
-    canonical_three_qubit,
     lift_umeb,
     meb8,
     umeb_2x3_type1,
     umeb_2x3_type2,
     umeb_2x3x3_first,
     umeb_2x3x3_second,
-    xy_vectors,
 )
 from umeb.entanglement import (
     CutRestricted,
     GhzType,
     Strict,
-    cut_residual,
     defect_gradient,
     is_maximally_entangled,
     schmidt_coefficients,
 )
 from umeb.hilbert import (
     Bipartition,
+    Ket,
+    SystemShape,
     gram_matrix,
-    inner,
     numerical_rank,
     orthonormal_complement,
     stack_amps,
@@ -108,7 +106,7 @@ def sampled_min_defect(kets, dims, kind, seed, n=1_000_000, chunk=200_000):
 def test_criterion_1_complete_basis_in_2x2x2():
     t0 = time.perf_counter()
     m8 = meb8()
-    g = gram_matrix(m8.kets).entries
+    g = gram_matrix(m8.kets)
     ortho_ok = float(np.max(np.abs(g - np.eye(8)))) < 1e-12
     me_ok = all(
         is_maximally_entangled(k, Strict(), tol=1e-12).ok for k in m8.kets
@@ -135,15 +133,16 @@ def test_criterion_2_families_are_not_unbiased():
 def test_criterion_3_bipartite_families():
     ok = True
     for fam in (umeb_2x3_type1(), umeb_2x3_type2()):
-        g = gram_matrix(fam.kets).entries
+        g = gram_matrix(fam.kets)
         ok = ok and float(np.max(np.abs(g - np.eye(4)))) < 1e-12
         cut = Bipartition(fam.shape, (0,))
         for k in fam.kets:
-            sc = schmidt_coefficients(k, cut).coefficients
+            sc = schmidt_coefficients(k, cut)
             ok = ok and float(np.max(np.abs(sc - 1 / math.sqrt(2)))) < 1e-12
-    x, y = xy_vectors()
+    # the second family's |x>, |y>, read off its first vector's product terms
+    x, y = (t.factors[1] for t in umeb_2x3_type2().vectors[0].terms)
     ok = ok and abs(x.norm() - 1) < 1e-12 and abs(y.norm() - 1) < 1e-12
-    ok = ok and abs(inner(x, y)) < 1e-12
+    ok = ok and abs(np.vdot(x.amps, y.amps)) < 1e-12
     assert _line(3, "2x3 families orthonormal with flat Schmidt spectra", ok)
 
 
@@ -194,8 +193,10 @@ def test_criterion_6_witness_under_cut_predicate():
 
 
 def test_criterion_7_reduced_state_condition_on_first_cut():
+    # canonical three-qubit form: lam_0..lam_4 on |000>, |100>, |101>, |110>,
+    # |111>, with the phase theta on |100>
     rng = np.random.default_rng(71)
-    shape_cut = Bipartition(canonical_three_qubit(np.sqrt([1, 0, 0, 0, 0]), 0.0).shape, (0,))
+    shape_cut = Bipartition(SystemShape((2, 2, 2)), (0,))
     counterexamples = 0
     for i in range(1000):
         if i % 10 == 0:
@@ -209,8 +210,12 @@ def test_criterion_7_reduced_state_condition_on_first_cut():
         else:
             lams = np.sqrt(rng.dirichlet(np.ones(5)))
         theta = rng.uniform(0.0, math.pi)
-        v = canonical_three_qubit(lams, theta)
-        residual_small = cut_residual(v, shape_cut, Strict()) < 1e-10
+        amps = np.zeros(8, dtype=complex)
+        amps[[0, 4, 5, 6, 7]] = lams
+        amps[4] *= np.exp(1j * theta)
+        v = Ket(shape_cut.shape, amps)
+        residual = dict(is_maximally_entangled(v, Strict()).residuals)[shape_cut]
+        residual_small = residual < 1e-10
         condition = abs(lams[0] ** 2 - 0.5) < 1e-10 and lams[1] < 1e-10
         if residual_small != condition:
             counterexamples += 1

@@ -1,11 +1,15 @@
 """CLI surface: exports, file loading, verify/search exit codes, overlap
 output, and the demo run, all through ``main``."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umeb.cli import basis_file_text, load_basis_file, main, search_json_text
 from umeb.constructions import basis_names, meb8, named_basis, umeb_2x3_type1, umeb_2x3x3_first
@@ -362,3 +366,91 @@ def test_load_rejects_integers_beyond_float_range(tmp_path, capsys):
             assert code == 1
             assert f"{path}: {message}" in err
             assert "Traceback" not in err
+
+
+def test_load_rejects_parts_and_coefficients_above_one(tmp_path, capsys):
+    # no unit vector has them; a part near 1e155 or more once overflowed the
+    # norm and Gram products, warning before the error line
+    path = tmp_path / "fam.json"
+
+    def amplitude(data):
+        data["vectors"][0][1][1] = 1e300
+        return "vector 0: entry 1 has a part above 1 in magnitude"
+
+    def factor(data):
+        data["terms"][0]["products"][0]["factors"][1][0][0] = -1e200
+        return "terms[0] product 0 factor 1: entry 0 has a part above 1 in magnitude"
+
+    def coefficient(data):
+        data["terms"][0]["products"][0]["coefficient"] = 1e300
+        return "terms[0] product 0: coefficient is above 1"
+
+    for edit in (amplitude, factor, coefficient):
+        data = json.loads(basis_file_text(umeb_2x3_type1()))
+        message = edit(data)
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(path), "--restarts", "1")
+        assert code == 1
+        assert err == f"error: {path}: {message}\n"
+
+
+def test_verify_cut1_bounds_d_by_the_first_cut(tmp_path, capsys):
+    # cut1 takes d = d_1; on 3x2x2 the first cut is 3|4, so d = 3 fits
+    path = tmp_path / "w.json"
+    shape = SystemShape((3, 2, 2))
+    amps = np.zeros(shape.total)
+    amps[[shape.flat_index(t) for t in ((0, 0, 0), (1, 0, 1), (2, 1, 0))]] = 3**-0.5
+    vectors = [[[float(a), 0.0] for a in amps]]
+    path.write_text(json.dumps({"name": "w", "shape": [3, 2, 2], "vectors": vectors}))
+    code, out, err = run(capsys, "verify", str(path), "--predicate", "cut1", "--restarts", "1")
+    assert code == 0, err
+    assert "predicate cut1:\n  maximally entangled: all 1 vectors" in out
+    # on 3x2 the first cut is 3|2, and d = 3 does not fit
+    vectors = [[[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0], [0, 0], [0, 0]]]
+    path.write_text(json.dumps({"name": "b", "shape": [3, 2], "vectors": vectors}))
+    code, _, err = run(capsys, "verify", str(path), "--predicate", "cut1", "--restarts", "1")
+    assert code == 1
+    assert "d=3 exceeds the cut's smaller side, 2" in err
+
+
+_EXPORT = basis_file_text(umeb_2x3_type1())
+_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400), 2**64, 1e300, -1e200, -1, 0, 1, 2, 3, 6])
+    | st.floats()
+    | st.text(max_size=4)
+)
+_JSON = _LEAF | st.recursive(
+    _LEAF,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_verify_survives_any_one_value_replaced(tmp_path_factory, data):
+    # start from an exported file and replace the value at one drawn path
+    # (possibly the whole document) with drawn JSON; each step descends with
+    # probability 7/8, so single amplitude parts are often the target
+    doc = json.loads(_EXPORT)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 7)):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        parent, node = node, node[key]
+    value = data.draw(_JSON)
+    if parent is None:
+        doc = value
+    else:
+        parent[key] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed-basis.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path), "--restarts", "1"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")

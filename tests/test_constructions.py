@@ -8,41 +8,41 @@ from umeb.constructions import (
     DecomposedVector,
     LabeledBasis,
     ProductTerm,
+    _pauli,
     basis_names,
-    canonical_three_qubit,
     ghz3,
     lift_umeb,
     meb8,
     named_basis,
-    pauli,
     umeb_2x3_type1,
     umeb_2x3_type2,
     umeb_2x3x3_first,
     umeb_2x3x3_second,
-    xy_vectors,
 )
-from umeb.entanglement import GhzType, is_maximally_entangled, schmidt_coefficients
+from umeb.entanglement import (
+    CutRestricted,
+    GhzType,
+    is_maximally_entangled,
+    schmidt_coefficients,
+)
 from umeb.hilbert import (
     Bipartition,
     Ket,
     SystemShape,
     basis_ket,
     gram_matrix,
-    inner,
 )
 from umeb.verify import check_completeness, check_orthonormal, set_match_distance
 
 
 def test_pauli_matrices():
     for k in range(4):
-        sig = pauli(k)
-        assert np.max(np.abs(sig.entries.conj().T @ sig.entries - np.eye(2))) <= 1e-15
-        assert np.allclose(
-            (sig.entries @ sig.entries), np.eye(2), atol=1e-15
-        )
-    assert np.allclose(pauli(2).entries, [[0, -1j], [1j, 0]])
+        sig = _pauli(k)
+        assert np.max(np.abs(sig.conj().T @ sig - np.eye(2))) <= 1e-15
+        assert np.allclose(sig @ sig, np.eye(2), atol=1e-15)
+    assert np.allclose(_pauli(2), [[0, -1j], [1j, 0]])
     with pytest.raises(ValueError):
-        pauli(4)
+        _pauli(4)
 
 
 def test_ghz3_amplitudes_and_terms():
@@ -130,36 +130,19 @@ def test_labeled_basis_validation():
         LabeledBasis("x", s, (), ())
 
 
-def test_canonical_three_qubit_amplitude_placement():
-    lams = np.sqrt([0.3, 0.2, 0.2, 0.2, 0.1])
-    v = canonical_three_qubit(lams, 0.7)
-    nonzero = np.nonzero(np.abs(v.amps) > 1e-12)[0]
-    assert list(nonzero) == [0, 4, 5, 6, 7]
-    assert v.amps[0] == pytest.approx(lams[0])
-    assert v.amps[4] == pytest.approx(lams[1] * np.exp(0.7j))
-    assert v.is_unit(1e-12)
-
-
-def test_canonical_three_qubit_validation():
-    ok = np.sqrt([0.5, 0.5, 0, 0, 0])
-    with pytest.raises(ValueError):
-        canonical_three_qubit(ok, -0.1)
-    with pytest.raises(ValueError):
-        canonical_three_qubit([0.9, 0.1, 0, 0, 0], 0.0)
-    with pytest.raises(ValueError):
-        canonical_three_qubit([-ok[0], ok[1], 0, 0, 0], 0.0)
-    with pytest.raises(ValueError):
-        canonical_three_qubit(ok[:4], 0.0)
-
-
 def test_canonical_three_qubit_reduced_state_closed_form():
+    # the canonical three-qubit form puts amplitudes lam_0..lam_4 on |000>,
+    # |100>, |101>, |110>, |111>, with the phase theta on |100>; qubit 0's
+    # reduced state is [[l0^2, l0 l1 e^-it], [l0 l1 e^it, 1 - l0^2]]
     rng = np.random.default_rng(61)
+    cut = Bipartition(SystemShape((2, 2, 2)), (0,))
     for _ in range(50):
         lams = np.sqrt(rng.dirichlet(np.ones(5)))
         theta = rng.uniform(0, np.pi)
-        v = canonical_three_qubit(lams, theta)
-        t = v.amps.reshape(2, 4)  # qubit 0 against qubits 1, 2
-        rho = t @ t.conj().T
+        amps = np.zeros(8, dtype=complex)
+        amps[[0, 4, 5, 6, 7]] = lams
+        amps[4] *= np.exp(1j * theta)
+        v = Ket(cut.shape, amps)
         l0, l1 = lams[0], lams[1]
         expect = np.array(
             [
@@ -167,14 +150,18 @@ def test_canonical_three_qubit_reduced_state_closed_form():
                 [l0 * l1 * np.exp(1j * theta), 1 - l0**2],
             ]
         )
-        assert np.allclose(rho, expect, atol=1e-12)
+        mu = np.linalg.eigvalsh(expect)[::-1]
+        assert np.allclose(schmidt_coefficients(v, cut) ** 2, mu, atol=1e-12)
+        residual = is_maximally_entangled(v, CutRestricted(cut, 2)).max_residual
+        assert residual == pytest.approx(np.linalg.norm(np.sqrt(mu) - 2**-0.5), abs=1e-12)
 
 
 def test_xy_vectors_are_an_orthonormal_pair():
-    x, y = xy_vectors()
+    # the second family's vectors read (|0>|x> + |1>|y>)/sqrt(2) under sigma_0
+    x, y = (t.factors[1] for t in umeb_2x3_type2().vectors[0].terms)
     assert x.is_unit(1e-12)
     assert y.is_unit(1e-12)
-    assert abs(inner(x, y)) < 1e-12
+    assert abs(np.vdot(x.amps, y.amps)) < 1e-12
     assert np.allclose(
         x.amps,
         np.array([1, (1 + np.sqrt(3) * 1j) / 2, 1]) / np.sqrt(3),
@@ -196,10 +183,10 @@ def test_bipartite_families_structure():
         assert check_orthonormal(fam).ok
         cut = Bipartition(fam.shape, (0,))
         for ket in fam.kets:
-            sc = schmidt_coefficients(ket, cut).coefficients
+            sc = schmidt_coefficients(ket, cut)
             assert np.allclose(sc, [2**-0.5, 2**-0.5], atol=1e-12)
     # the two families sit at overlap 1/sqrt(6) on matching indices
-    assert abs(inner(t1.kets[0], t2.kets[0])) == pytest.approx(6**-0.5, abs=1e-12)
+    assert abs(np.vdot(t1.kets[0].amps, t2.kets[0].amps)) == pytest.approx(6**-0.5, abs=1e-12)
 
 
 def test_first_family_vectors_written_out():
@@ -295,7 +282,7 @@ def test_registry_round_trip():
     for name in names:
         b = named_basis(name)
         assert b.name == name
-        g = gram_matrix(b.kets).entries
+        g = gram_matrix(b.kets)
         assert np.max(np.abs(g - np.eye(len(b)))) < 1e-12
     with pytest.raises(ValueError, match="unknown basis"):
         named_basis("nope")

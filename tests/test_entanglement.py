@@ -18,7 +18,6 @@ from umeb.entanglement import (
     Strict,
     _small_side,
     coords_to_ket,
-    cut_residual,
     defect,
     defect_coords_batch,
     defect_gradient,
@@ -34,7 +33,6 @@ from umeb.hilbert import (
     all_bipartitions,
     apply_local,
     basis_ket,
-    kron,
     orthonormal_complement,
     random_unit_ket,
     random_unitary,
@@ -56,10 +54,10 @@ def w_state():
 
 def test_schmidt_coefficients_of_known_states():
     v = bell22()
-    sc = schmidt_coefficients(v, Bipartition(v.shape, (0,))).coefficients
+    sc = schmidt_coefficients(v, Bipartition(v.shape, (0,)))
     assert np.allclose(sc, [2**-0.5, 2**-0.5], atol=1e-12)
-    p = kron(basis_ket(SystemShape((2,)), (0,)), basis_ket(SystemShape((3,)), (1,)))
-    sc = schmidt_coefficients(p, Bipartition(p.shape, (0,))).coefficients
+    p = basis_ket(SystemShape((2, 3)), (0, 1))
+    sc = schmidt_coefficients(p, Bipartition(p.shape, (0,)))
     assert np.allclose(sc, [1.0, 0.0], atol=1e-12)
 
 
@@ -70,7 +68,7 @@ def test_schmidt_coefficients_against_svd_oracle():
         v = random_unit_ket(shape, rng)
         for sites in ((0,), (1,), (2,)):
             cut = Bipartition(shape, sites)
-            got = schmidt_coefficients(v, cut).coefficients
+            got = schmidt_coefficients(v, cut)
             t = v.amps.reshape(2, 3, 3)
             order = sites + tuple(s for s in range(3) if s not in sites)
             m = np.transpose(t, order).reshape(cut.dim_a, cut.dim_b)
@@ -82,8 +80,8 @@ def test_schmidt_spectrum_same_on_both_cut_orientations():
     rng = np.random.default_rng(19)
     shape = SystemShape((2, 3, 3))
     v = random_unit_ket(shape, rng)
-    a = schmidt_coefficients(v, Bipartition(shape, (1,))).coefficients
-    b = schmidt_coefficients(v, Bipartition(shape, (0, 2))).coefficients
+    a = schmidt_coefficients(v, Bipartition(shape, (1,)))
+    b = schmidt_coefficients(v, Bipartition(shape, (0, 2)))
     assert np.allclose(a, b[: a.size], atol=1e-11)
     assert np.allclose(b[a.size :], 0.0, atol=1e-11)
 
@@ -96,6 +94,8 @@ def test_predicate_validation():
     shape = SystemShape((2, 3, 3))
     with pytest.raises(ValueError, match="smallest subsystem"):
         predicate_cuts(GhzType(3), shape)
+    with pytest.raises(ValueError, match="the cut's smaller side"):
+        predicate_cuts(CutRestricted(Bipartition(shape, (0,)), 3), shape)
     wrong = Bipartition(SystemShape((2, 2)), (0,))
     with pytest.raises(ValueError, match="state is over"):
         predicate_cuts(CutRestricted(wrong, 2), shape)
@@ -142,6 +142,42 @@ def test_family_vectors_fail_strict_but_pass_ghz_in_2x3x3():
         assert is_maximally_entangled(ket, GhzType(2)).ok
 
 
+def test_strict_state_exists_in_2x3x3():
+    # (|0>Phi_0 + |1>Phi_1)/sqrt(2), Phi_k = sum_j |j, j+k mod 3>/sqrt(3): unlike
+    # the family vectors it is maximally mixed on every cut, so strict
+    # states exist in 2x3x3
+    shape = SystemShape((2, 3, 3))
+    amps = np.zeros(shape.total)
+    for k in range(2):
+        for j in range(3):
+            amps[shape.flat_index((k, j, (j + k) % 3))] = 6**-0.5
+    v = Ket(shape, amps)
+    strict = is_maximally_entangled(v, Strict())
+    assert strict.ok
+    assert [c.sites for c, _ in strict.residuals] == [(0,), (1,), (2,)]
+    assert strict.max_residual <= 1e-15
+    assert defect(v, Strict()) < 1e-28
+    # I/3 on the two 3-dimensional cuts: ||I/9 - I/6||^2 = 1/108 each
+    assert defect(v, GhzType(2)) == pytest.approx(1 / 54, abs=1e-15)
+    assert not is_maximally_entangled(v, GhzType(2)).ok
+
+
+def test_cut_restricted_d_is_bounded_by_the_cut_not_the_smallest_site():
+    # (|000> + |011> + |122>)/sqrt(3) has Schmidt rank 3 across site 1 | sites
+    # (0, 2), a 3|6 cut, although subsystem 0 has dimension 2
+    shape = SystemShape((2, 3, 3))
+    amps = np.zeros(shape.total)
+    amps[[shape.flat_index(t) for t in ((0, 0, 0), (0, 1, 1), (1, 2, 2))]] = 3**-0.5
+    v = Ket(shape, amps)
+    cut = Bipartition(shape, (1,))
+    assert np.allclose(schmidt_coefficients(v, cut), [3**-0.5] * 3, atol=1e-15)
+    for side in (cut, Bipartition(shape, (0, 2))):
+        chk = is_maximally_entangled(v, CutRestricted(side, 3))
+        assert chk.ok and chk.max_residual < 1e-15
+        assert defect(v, CutRestricted(side, 3)) < 1e-28
+    assert not is_maximally_entangled(v, CutRestricted(cut, 2)).ok
+
+
 def test_cut_restricted_sees_only_its_cut():
     fam = umeb_2x3x3_first()
     shape = fam.shape
@@ -166,8 +202,6 @@ def test_is_maximally_entangled_requires_unit_ket():
     with pytest.raises(ValueError, match="not normalized"):
         is_maximally_entangled(v, Strict())
     with pytest.raises(ValueError, match="not normalized"):
-        cut_residual(v, cut, Strict())
-    with pytest.raises(ValueError, match="not normalized"):
         schmidt_coefficients(v, cut)
 
 
@@ -178,10 +212,6 @@ def test_cut_residual_validates_predicate_and_cut_against_ket_shape():
     for pred in (GhzType(3), CutRestricted(cut, 3), CutRestricted(elsewhere, 2)):
         with pytest.raises(ValueError):
             is_maximally_entangled(v, pred)
-        with pytest.raises(ValueError):
-            cut_residual(v, cut, pred)
-    with pytest.raises(ValueError, match="cut is over 2x3"):
-        cut_residual(v, elsewhere, Strict())
     with pytest.raises(ValueError, match="cut is over 2x3"):
         schmidt_coefficients(v, elsewhere)
 
@@ -190,11 +220,15 @@ def test_cut_residual_of_product_state():
     p = basis_ket(SystemShape((2, 2)), (0, 0))
     cut = Bipartition(p.shape, (0,))
     # reduced state diag(1, 0) vs I/2: Frobenius distance sqrt(1/2)
-    assert cut_residual(p, cut, Strict()) == pytest.approx(2**-0.5, abs=1e-12)
-    assert cut_residual(p, cut, GhzType(2)) == pytest.approx(2**-0.5, abs=1e-12)
-    assert cut_residual(p, cut, CutRestricted(cut, 2)) == pytest.approx(
-        np.linalg.norm([1 - 2**-0.5, 2**-0.5]), abs=1e-12
-    )
+    expect = {
+        Strict(): 2**-0.5,
+        GhzType(2): 2**-0.5,
+        CutRestricted(cut, 2): np.linalg.norm([1 - 2**-0.5, 2**-0.5]),
+    }
+    for pred, r in expect.items():
+        ((got_cut, got),) = is_maximally_entangled(p, pred).residuals
+        assert got_cut == cut
+        assert got == pytest.approx(r, abs=1e-12)
 
 
 def _oracle_residual(amps, dims, sites, pred):
@@ -227,15 +261,11 @@ def test_residuals_match_einsum_and_svd_oracle(dims, seed):
     shape = SystemShape(dims)
     v = random_unit_ket(shape, np.random.default_rng(seed))
     cuts = all_bipartitions(shape)
-    for pred in [Strict(), GhzType(2)] + [CutRestricted(c, 2) for c in cuts]:
+    # CutRestricted on either side of each cut, e.g. sites (0, 2) of 2x3x3
+    flipped = [Bipartition(shape, c.other_sites) for c in cuts]
+    for pred in [Strict(), GhzType(2)] + [CutRestricted(c, 2) for c in cuts + flipped]:
         for cut, r in is_maximally_entangled(v, pred).residuals:
             assert abs(r - _oracle_residual(v.amps, dims, cut.sites, pred)) <= 1e-12
-    for cut in cuts:  # both sides, e.g. the 6x6 state on sites (0, 2) of 2x3x3
-        for sites in (cut.sites, cut.other_sites):
-            side = Bipartition(shape, sites)
-            for pred in (Strict(), GhzType(2), CutRestricted(cut, 2)):
-                expect = _oracle_residual(v.amps, dims, sites, pred)
-                assert abs(cut_residual(v, side, pred) - expect) <= 1e-12
 
 
 def test_defect_zero_exactly_on_satisfying_states():
@@ -452,13 +482,13 @@ def test_closed_form_gradient_below_the_small_side_dimension():
     # family complements keep site 1 pure, so take a random subspace
     rng = np.random.default_rng(103)
     shape = SystemShape((2, 3, 3))
-    basis = random_unitary(shape.total, rng).entries[:6]
+    basis = random_unitary(shape.total, rng)[:6]
     frame = orthonormal_complement([Ket(shape, row) for row in basis])
     cut = Bipartition(shape, (1,))
     pred = CutRestricted(cut, 2)
     W = _unit_rows(rng, 12, 2 * len(frame))
     for w in W:  # the spectra at these rows are well separated
-        mu = schmidt_coefficients(coords_to_ket(w, frame), cut).coefficients ** 2
+        mu = schmidt_coefficients(coords_to_ket(w, frame), cut) ** 2
         assert np.min(-np.diff(mu)) > 1e-3
     exact = defect_gradient(W, pred, frame)
     reference = defect_gradient(W, pred, frame, step=1e-5)
@@ -513,7 +543,7 @@ def test_pair_and_state_paths_agree(dims, monkeypatch):
     shape = SystemShape(dims)
     rng = np.random.default_rng(sum(dims) * 113)
     for kept in sorted({1, shape.total // 2, shape.total - 2}):
-        basis = random_unitary(shape.total, rng).entries[:kept]
+        basis = random_unitary(shape.total, rng)[:kept]
         frame = orthonormal_complement([Ket(shape, row) for row in basis])
         c = len(frame)
         mix = np.eye(c) + 0.3 * (rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))
@@ -570,7 +600,7 @@ def test_rows_last_kernel_matches_einsum_oracle(dims):
     # the cuts' tiny products run from 2x2x2 to 8x8x8, on both kernel paths
     shape = SystemShape(dims)
     rng = np.random.default_rng(sum(dims) * 131)
-    basis = random_unitary(shape.total, rng).entries[: shape.total // 2]
+    basis = random_unitary(shape.total, rng)[: shape.total // 2]
     frame = orthonormal_complement([Ket(shape, row) for row in basis])
     c = len(frame)
     mix = np.eye(c) + 0.3 * (rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))
@@ -619,7 +649,7 @@ def test_closed_form_gradient_matches_finite_differences_on_random_bases(dims, d
     shape = SystemShape(dims)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     kept = data.draw(st.integers(1, shape.total - 1), label="basis size")
-    basis = random_unitary(shape.total, rng).entries[:kept]
+    basis = random_unitary(shape.total, rng)[:kept]
     frame = orthonormal_complement([Ket(shape, row) for row in basis])
     if data.draw(st.booleans(), label="skewed frame"):
         # same span, no longer orthonormal: rows then encode non-unit vectors
@@ -635,7 +665,7 @@ def test_closed_form_gradient_matches_finite_differences_on_random_bases(dims, d
     if isinstance(pred, CutRestricted):
         cut = _small_side(pred.cut)
         for w in W:  # finite differences need a gap at the d-th eigenvalue
-            mu = schmidt_coefficients(coords_to_ket(w, frame), cut).coefficients ** 2
+            mu = schmidt_coefficients(coords_to_ket(w, frame), cut) ** 2
             assume(mu.size == pred.d or mu[pred.d - 1] - mu[pred.d] > 1e-3)
     exact = defect_gradient(W, pred, frame)
     reference = defect_gradient(W, pred, frame, step=1e-5)
