@@ -219,6 +219,13 @@ def load_basis_file(path: str) -> LabeledBasis:
             if not all(isinstance(g, list) and all(map(_is_int, g)) for g in raw_grouping):
                 raise CliError(f"{path}: terms[{i}]: grouping must be lists of integer sites")
             grouping = tuple(tuple(g) for g in raw_grouping)
+            outside = [s for g in grouping for s in g if not 0 <= s < shape.nsys]
+            if outside:
+                raise CliError(
+                    f"{path}: terms[{i}]: grouping site {outside[0]} is outside 0..{shape.nsys - 1}"
+                )
+            if not raw_products:
+                raise CliError(f"{path}: terms[{i}]: products must be a non-empty list")
             prods = []
             for k, rp in enumerate(raw_products):
                 if not isinstance(rp, dict) or not _is_number(rp.get("coefficient")):
@@ -234,7 +241,7 @@ def load_basis_file(path: str) -> LabeledBasis:
                     f_amps = _as_amps(raw_f, f"{path}: terms[{i}] product {k} factor {g_idx}")
                     try:
                         factors.append(Ket(_group_shape(shape, g), f_amps))
-                    except (ValueError, IndexError) as e:
+                    except ValueError as e:
                         raise CliError(
                             f"{path}: terms[{i}] product {k} factor {g_idx}: {e}"
                         )

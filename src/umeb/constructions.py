@@ -22,6 +22,7 @@ from .hilbert import (
     apply_local,
     basis_ket,
     gram_matrix,
+    orthonormal_complement,
     stack_amps,
 )
 
@@ -138,6 +139,12 @@ class LabeledBasis:
     @property
     def kets(self) -> tuple[Ket, ...]:
         return tuple(dv.vector for dv in self.vectors)
+
+    @functools.cached_property
+    def complement(self) -> tuple[Ket, ...]:
+        """Orthonormal frame of the kets' orthogonal complement, computed
+        once per basis; linearly dependent kets raise on every access."""
+        return tuple(orthonormal_complement(self.kets))
 
     def amps_matrix(self) -> np.ndarray:
         return stack_amps(self.kets)

@@ -152,8 +152,7 @@ def schmidt_coefficients(v: Ket, cut: Bipartition) -> np.ndarray:
     if cut.shape != v.shape:
         raise ValueError(f"cut is over {cut.shape}, ket is over {v.shape}")
     _check_unit(v)
-    ((_, _, rho),) = _cut_blocks(v.amps[:, None], v.shape, (_cut_step(_small_side(cut)),))
-    return _schmidt(rho[..., 0])
+    return _schmidt(_reduced_state(v, _small_side(cut)))
 
 
 def is_maximally_entangled(v: Ket, pred: Predicate, tol: float = 1e-8) -> EntanglementCheck:
@@ -167,8 +166,7 @@ def is_maximally_entangled(v: Ket, pred: Predicate, tol: float = 1e-8) -> Entang
     """
     _check_unit(v)
     cuts = predicate_cuts(pred, v.shape)
-    blocks = _cut_blocks(v.amps[:, None], v.shape, _cut_plan(pred, v.shape))
-    residuals = tuple((cut, _residual(rho[..., 0], pred)) for cut, (_, _, rho) in zip(cuts, blocks))
+    residuals = tuple((cut, _residual(_reduced_state(v, _small_side(cut)), pred)) for cut in cuts)
     return EntanglementCheck(ok=all(r < tol for _, r in residuals), residuals=residuals)
 
 
@@ -186,8 +184,8 @@ def defect(v: Ket, pred: Predicate) -> float:
     as a block of one row.
     """
     _check_unit(v)
-    cuts = _cut_blocks(v.amps[:, None], v.shape, _cut_plan(pred, v.shape))
-    return float(_rho_defect([rho for _, _, rho in cuts], pred)[0])
+    blocks = _group_blocks(v.amps[:, None], v.shape, _cut_plan(pred, v.shape)[0])
+    return float(_rho_defect([rho for _, rho in blocks], pred, 1)[0])
 
 
 # --- coordinate form used by the unextendibility search ------------------
@@ -242,38 +240,51 @@ def _rdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s[0::2] + s[1::2]
 
 
-def _cut_step(cut: Bipartition) -> tuple[tuple[int, ...], int, int]:
-    """One cut's transpose permutation and (dim_a, dim_b).
+def _plan(cuts: Sequence[Bipartition]):
+    """The frame-free kernel plan of a list of cuts: ``(groups, K, trace)``.
 
-    The permutation acts on a batch of state tensors whose last axis is the
-    row; it brings ``cut.sites`` to the front and keeps the row axis last.
+    ``groups`` holds ``(perms, d_A, d_B, lo, hi)`` per set of cuts with one
+    reduced-state dimension ``d_A`` (which fixes ``d_B``), in order of
+    first appearance.  Each cut's permutation brings ``cut.sites`` to the
+    front of a batch of state tensors and keeps the row axis last;
+    ``lo:hi`` are the group's rows of ``T^T`` and of the pair product, which
+    run entry-major, ``(i, j, cut)``, so that the group's states form one
+    ``(d_A, d_A, k rows)`` stack, cut-major along the last axis.  ``K``
+    sums ``d_A^2`` over the cuts; ``trace`` slices the rows of the first
+    cut's diagonal.
     """
-    return cut.sites + cut.other_sites + (cut.shape.nsys,), cut.dim_a, cut.dim_b
+    groups, lo = [], 0
+    for da in dict.fromkeys(cut.dim_a for cut in cuts):
+        same = [cut for cut in cuts if cut.dim_a == da]
+        perms = tuple(cut.sites + cut.other_sites + (cut.shape.nsys,) for cut in same)
+        groups.append((perms, da, same[0].dim_b, lo, lo + da * da * len(same)))
+        lo += da * da * len(same)
+    perms, da = groups[0][:2]
+    return tuple(groups), lo, slice(0, da * da * len(perms), (da + 1) * len(perms))
 
 
 @functools.lru_cache(maxsize=64)
-def _cut_plan(pred: Predicate, shape) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """:func:`_cut_step` per cut the predicate reads, CutRestricted's from
-    the smaller side; cached per (predicate, shape) and immutable."""
-    cuts = predicate_cuts(pred, shape)
-    if isinstance(pred, CutRestricted):
-        cuts = [_small_side(cuts[0])]
-    return tuple(_cut_step(cut) for cut in cuts)
+def _cut_plan(pred: Predicate, shape):
+    """:func:`_plan` of the cuts the predicate reads, each from its smaller
+    side (only CutRestricted's cut may list the larger); cached per
+    (predicate, shape) and immutable.  Which path a frame takes is decided
+    per call, outside every cache."""
+    return _plan([_small_side(cut) for cut in predicate_cuts(pred, shape)])
 
 
 def defect_coords_batch(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.ndarray:
     """Defect of many coordinate vectors at once (rows of ``W``).
 
     :func:`defect` on the coordinate encoding, one row per vector.  Rows
-    are evaluated in blocks of bounded size (see :func:`_kernel_path`), so
+    are evaluated in blocks of bounded size (see :func:`_rho_blocks`), so
     the temporaries stay bounded for any batch size; every row must encode
     a vector of norm above 1e-6.  For CutRestricted with d below the small
     side's dimension the batched spectra come from LAPACK ``eigvalsh``.
     """
     W = _coord_rows(W, frame)
     out = np.empty(W.shape[0])
-    for rows, rhos, _, _ in _rho_blocks(W, pred, frame):
-        out[rows] = _rho_defect(rhos, pred)
+    for rows, rhos, inv, _ in _rho_blocks(W, pred, frame):
+        out[rows] = _rho_defect(rhos, pred, inv.size)
     return out
 
 
@@ -291,72 +302,63 @@ def _z_block(W: np.ndarray, rows: slice) -> np.ndarray:
 
 def _inverse_norm2(vv):
     """``1 / |v|^2`` from ``|v|^2``; raises on a row encoding a near-zero vector."""
-    if np.any(vv <= 1e-12):
+    if (vv <= 1e-12).any():
         raise ValueError("coordinates encode a near-zero vector")
     return 1.0 / vv
-
-
-def _kernel_path(pred: Predicate, frame: Sequence[Ket]) -> tuple[bool, int]:
-    """Whether ``frame`` takes the pair path for ``pred``, and the rows per
-    kernel block on the path it takes."""
-    plan = _cut_plan(pred, frame[0].shape)
-    c, k = len(frame), sum(da * da for _, da, _ in plan)
-    if c * c * k <= _PAIR_MAX:
-        return True, max(1, _PAIR_BUDGET // max(c * c, k))
-    return False, max(1, _BLOCK_AMPS // frame[0].shape.total)
 
 
 def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]):
     """Yield ``(rows, rhos, inv, pull)`` per kernel block of coordinate rows.
 
-    ``rows`` slices ``W``; per cut of the predicate's :func:`_cut_plan`,
-    ``rhos`` holds the ``(d_A, d_A, rows)`` states ``rho~`` of ``v = z @
+    ``rows`` slices ``W``; per group of the predicate's :func:`_cut_plan`,
+    ``rhos`` holds the ``(d_A, d_A, k rows)`` states ``rho~`` of ``v = z @
     amps`` times ``inv = 1 / |v|^2``, the inverse trace of the first cut's
     (which holds for any frame, orthonormal or not).  ``pull`` maps one
-    :func:`_rho_gradient` ``G`` per cut to ``|v|^2 / 2`` times the ``(c,
+    :func:`_rho_gradient` ``G`` per group to ``|v|^2 / 2`` times the ``(c,
     rows)`` gradient in ``z``, whose real and imaginary parts are the
     gradient in ``w``.  Raises on a row encoding a near-zero vector.  The
-    pair path reads every cut's ``rho~`` off one product ``T^T @ (z (x)
-    conj z)``, shape ``(K, rows)``; the state path restacks the frame on
-    every call, so that no cache pins a large frame.
+    pair path, taken when ``c^2 K <= _PAIR_MAX``, reads every group's
+    ``rho~`` off one product ``T^T @ (z (x) conj z)``, shape ``(K, rows)``;
+    the state path restacks the frame on every call, so that no cache pins
+    a large frame.
     """
     shape, c = frame[0].shape, len(frame)
-    plan = _cut_plan(pred, shape)
-    pair, block = _kernel_path(pred, frame)
+    groups, k, trace = _cut_plan(pred, shape)
+    pair = c * c * k <= _PAIR_MAX
     if pair:
-        Tt = _pair_tensor(plan, tuple(frame))
-        ends = np.cumsum([da * da for _, da, _ in plan])
+        Tt, block = _pair_tensor(groups, tuple(frame)), max(1, _PAIR_BUDGET // max(c * c, k))
     else:
-        amps = stack_amps(frame)
+        amps, block = stack_amps(frame), max(1, _BLOCK_AMPS // shape.total)
     for start in range(0, W.shape[0], block):
         rows = slice(start, start + block)
         z = _z_block(W, rows)
+        n = z.shape[1]
         if pair:
-            r = Tt @ (z[:, None, :] * z.conj()[None, :, :]).reshape(c * c, -1)
-            rhos = [r[e - da * da : e].reshape(da, da, -1) for e, (_, da, _) in zip(ends, plan)]
+            r = Tt @ (z[:, None, :] * z.conj()[None, :, :]).reshape(c * c, n)
+            rhos = [r[lo:hi].reshape(da, da, -1) for _, da, _, lo, hi in groups]
             pull = functools.partial(_pair_pull, Tt.T, z)
         else:
-            cuts = list(_cut_blocks(amps.T @ z, shape, plan))
-            rhos = [rho for _, _, rho in cuts]
-            pull = functools.partial(_state_pull, cuts, amps, shape)
-        inv = _inverse_norm2(_diag(rhos[0]).real.sum(axis=0))
+            ms, rhos = zip(*_group_blocks(amps.T @ z, shape, groups))
+            pull = functools.partial(_state_pull, groups, ms, amps, shape)
+        inv = _inverse_norm2(rhos[0].reshape(-1, n)[trace].real.sum(axis=0))
         for rho in rhos:
-            rho *= inv
+            rho.reshape(-1, n)[...] *= inv
         yield rows, rhos, inv, pull
 
 
 @functools.lru_cache(maxsize=32)
-def _pair_tensor(plan, frame: tuple[Ket, ...]) -> np.ndarray:
+def _pair_tensor(groups, frame: tuple[Ket, ...]) -> np.ndarray:
     """The transposed pair tensor ``T^T`` of a frame, C-contiguous, shape ``(K, c^2)``.
 
     Row ``a c + b`` of ``T`` holds ``A_a A_b^dagger`` for every cut of
-    ``plan``, flattened row-major and concatenated in plan order.  Cached
-    per (plan, frame): :class:`Ket` is frozen, its amplitudes are read-only
-    and it hashes by identity.
+    ``groups``, in the row order of :func:`_plan`.  Cached per (groups,
+    frame): :class:`Ket` is frozen, its amplitudes are read-only and it
+    hashes by identity.
     """
-    cuts = _cut_blocks(stack_amps(frame).T, frame[0].shape, plan)  # m[:, :, a] is A_a
-    ts = (np.einsum("ika,jkb->ijab", m, m.conj()) for _, m, _ in cuts)
-    Tt = np.concatenate([t.reshape(-1, len(frame) ** 2) for t in ts])
+    c = len(frame)
+    blocks = _group_blocks(stack_amps(frame).T, frame[0].shape, groups)
+    ms = (m.reshape(m.shape[:2] + (-1, c)) for m, _ in blocks)  # m[:, :, p, a] is A_a across cut p
+    Tt = np.concatenate([np.einsum("ikpa,jkpb->ijpab", m, m.conj()).reshape(-1, c * c) for m in ms])
     Tt.setflags(write=False)
     return Tt
 
@@ -374,44 +376,58 @@ def _pair_pull(T: np.ndarray, z: np.ndarray, gs) -> np.ndarray:
     return (z[:, None, :] * q.reshape(c, c, n)).sum(axis=0)
 
 
-def _state_pull(cuts, amps: np.ndarray, shape, gs) -> np.ndarray:
+def _state_pull(groups, ms, amps: np.ndarray, shape, gs) -> np.ndarray:
     """``pull`` on the state path.
 
     With ``rho~ = m m^dagger``, ``df = Re tr(G drho~) / |v|^2 = Re <2 G m,
-    dm> / |v|^2``; ``G m`` is added back into state-vector order through
-    each cut's transposed view, then taken through ``v = z @ amps``.
+    dm> / |v|^2``; each cut's ``G m`` is added back into state-vector order
+    through its transposed view, then taken through ``v = z @ amps``.
     """
-    n = cuts[0][1].shape[2]
+    n = ms[0].shape[2] // len(groups[0][0])
     h = np.zeros(shape.dims + (n,), dtype=np.complex128)
-    for (perm, m, _), g in zip(cuts, gs):
-        hp = np.transpose(h, perm)
-        hp += _mm(g, m).reshape(hp.shape)
+    for (perms, *_), m, g in zip(groups, ms, gs):
+        gm = _mm(g, m)
+        for p, perm in enumerate(perms):
+            hp = np.transpose(h, perm)
+            hp += gm.reshape(hp.shape[:-1] + (len(perms), n))[..., p, :]
     return amps.conj() @ h.reshape(-1, n)
 
 
-def _cut_blocks(psi: np.ndarray, shape, plan):
-    """Yield ``(perm, m, rho)`` per cut of a :func:`_cut_plan`.
-
-    ``m`` is the block's ``(d_A, d_B, rows)`` coefficient matrices across
-    the cut, taken from the ``(total, rows)`` states transposed by
-    ``perm``, and ``rho = m m^dagger`` the states on the cut's first side.
-    """
+def _group_blocks(psi: np.ndarray, shape, groups):
+    """Yield ``(m, rho)`` per group of a :func:`_plan`: the ``(d_A, d_B,
+    rows)`` coefficient matrices of the ``(total, rows)`` states across the
+    group's cuts, stacked cut-major along the last axis (for one cut, the
+    transposed states reshaped), and ``rho = m m^dagger``."""
     n = psi.shape[1]
     t = psi.reshape(shape.dims + (n,))
-    for perm, da, db in plan:
-        m = np.transpose(t, perm).reshape(da, db, n)
-        yield perm, m, _mm(m, m.conj().transpose(1, 0, 2))
+    for perms, da, db, _, _ in groups:
+        if len(perms) == 1:
+            m = np.transpose(t, perms[0]).reshape(da, db, n)
+        else:
+            m = np.empty((da, db, len(perms) * n), dtype=np.complex128)
+            for p, perm in enumerate(perms):
+                tp = np.transpose(t, perm)
+                m.reshape(tp.shape[:-1] + (len(perms), n))[..., p, :] = tp
+        yield m, _mm(m, m.conj().transpose(1, 0, 2))
 
 
-def _rho_defect(rhos, pred: Predicate) -> np.ndarray:
-    """Defects from each cut's reduced states (one ``(d_A, d_A, n)`` array per cut)."""
-    out = np.zeros(rhos[0].shape[2])
+def _reduced_state(v: Ket, cut: Bipartition) -> np.ndarray:
+    """The ``(d_A, d_A)`` state of a ket on ``cut.sites``, from a one-row,
+    one-cut kernel block."""
+    ((_, rho),) = _group_blocks(v.amps[:, None], v.shape, _plan([cut])[0])
+    return rho[..., 0]
+
+
+def _rho_defect(rhos, pred: Predicate, n: int) -> np.ndarray:
+    """Defects of ``n`` rows from each group's ``(d_A, d_A, k n)`` reduced states."""
+    out = np.zeros(n)
     for rho in rhos:
         da = rho.shape[0]
         if isinstance(pred, CutRestricted) and pred.d < da:
             mu = np.linalg.eigvalsh(rho.transpose(2, 0, 1))[:, ::-1]
             top, rest = mu[:, : pred.d], mu[:, pred.d :]
-            out += np.sum((top - 1.0 / pred.d) ** 2, axis=1) + np.sum(rest**2, axis=1)
+            f = np.sum((top - 1.0 / pred.d) ** 2, axis=1) + np.sum(rest**2, axis=1)
+            out += f.reshape(-1, n).sum(axis=0)
             continue
         if isinstance(pred, GhzType):  # X = rho^2 - rho/d
             x = _mm(rho, rho)
@@ -419,12 +435,13 @@ def _rho_defect(rhos, pred: Predicate) -> np.ndarray:
         else:  # Strict, or CutRestricted with d = da: sum_i (mu_i - 1/d)^2 = ||rho - I/d||^2
             x = rho.copy()
             _diag(x)[...] -= 1.0 / da
-        out += _rdot(x, x)
+        out += _rdot(x, x).reshape(-1, n).sum(axis=0)
     return out
 
 
 def _rho_gradient(rho: np.ndarray, pred: Predicate) -> np.ndarray:
-    """``G = df/drho - Re tr(rho df/drho) I`` for one cut's reduced states.
+    """``G = df/drho - Re tr(rho df/drho) I`` for a stack of reduced states,
+    one cut of one row per entry of the last axis.
 
     ``df/drho`` is Hermitian, with ``df = Re tr(df/drho drho)``.  Both
     paths normalize, ``rho = rho~ / tr rho~``, and ``tr drho~`` is the same
@@ -475,7 +492,7 @@ def defect_gradient(
     w = np.asarray(W, dtype=np.float64)
     W = _coord_rows(w, frame)
     m, n = W.shape
-    if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > 1e-8):
+    if (np.abs(np.sqrt(np.einsum("ij,ij->i", W, W)) - 1.0) > 1e-8).any():
         raise ValueError("coordinate vectors must encode unit kets (norm within 1e-8 of 1)")
     if step is None:
         grads = np.empty_like(W)

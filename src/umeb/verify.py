@@ -26,12 +26,7 @@ from .entanglement import (
     predicate_cuts,
     predicate_label,
 )
-from .hilbert import (
-    Ket,
-    gram_matrix,
-    numerical_rank,
-    orthonormal_complement,
-)
+from .hilbert import Ket, gram_matrix, numerical_rank
 
 
 class OrthonormalityCheck(NamedTuple):
@@ -214,7 +209,9 @@ def unextendibility_search(
 ) -> UnextendibilityResult:
     """Certify numerically whether a basis extends under a predicate.
 
-    Builds an orthonormal frame of the complement, then runs
+    Takes the complement's orthonormal frame from the basis, which
+    computes it once (:attr:`LabeledBasis.complement`): repeated searches
+    on one basis object reuse it and the kernel's pair tensor.  Then runs
     ``cfg.restarts`` independent descents from seeded random starts.  The
     restarts step in lockstep, up to 32 at a time, as the rows of one
     :func:`minimize_on_sphere` block; each row still follows its own
@@ -229,7 +226,7 @@ def unextendibility_search(
     if cfg is None:
         cfg = SearchConfig()
     predicate_cuts(pred, basis.shape)  # validate predicate/shape pairing early
-    frame = orthonormal_complement(basis.kets)
+    frame = basis.complement
     if not frame:
         return UnextendibilityResult(
             predicate=pred,

@@ -320,6 +320,23 @@ def test_load_rejects_grouping_that_is_not_integer_sites(tmp_path, capsys):
         assert f"{path}: terms[1]: grouping must be lists of integer sites" in err
 
 
+def test_load_names_empty_products_and_grouping_sites_outside_the_shape(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    cases = (
+        ("products", [], "terms[1]: products must be a non-empty list"),
+        ("grouping", [[0], [2]], "terms[1]: grouping site 2 is outside 0..1"),
+        ("grouping", [[-1], [0]], "terms[1]: grouping site -1 is outside 0..1"),
+    )
+    for key, value, message in cases:
+        data = json.loads(basis_file_text(umeb_2x3_type1()))
+        data["terms"][1][key] = value
+        path.write_text(json.dumps(data))
+        for cmd in ("verify", "search"):
+            code, _, err = run(capsys, cmd, str(path), "--restarts", "1")
+            assert code == 1
+            assert err == f"error: {path}: {message}\n"
+
+
 def test_load_rejects_json_booleans_as_numbers(tmp_path, capsys):
     path = tmp_path / "fam.json"
 

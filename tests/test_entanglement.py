@@ -5,6 +5,9 @@ from state vectors or from a frame's pair tensor; they are checked against
 einsum/SVD oracles, across kernel blocks on both paths, path against path,
 and closed-form against finite-difference gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -366,14 +369,16 @@ def test_defect_coords_rejects_near_zero_rows():
         defect_coords_batch(W, Strict(), frame)
 
 
-def test_defect_coords_batch_spans_kernel_blocks():
+def test_defect_coords_batch_spans_kernel_blocks(monkeypatch):
     rng = np.random.default_rng(89)
+    blocks = _spy(monkeypatch, "_z_block")
     for frame in _frames().values():
         shape = frame[0].shape
         for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (0,)), 2)):
-            rows = 2 * ent._kernel_path(pred, frame)[1] + 7  # three kernel blocks
-            W = rng.standard_normal((rows, 2 * len(frame)))
+            W = rng.standard_normal((_SPANNING_ROWS, 2 * len(frame)))
+            blocks.clear()
             batch = defect_coords_batch(W, pred, frame)
+            assert len(blocks) >= 3
             single = np.array([defect_coords_batch(w[None, :], pred, frame)[0] for w in W])
             assert np.max(np.abs(batch - single)) <= 1e-12
             W[-1] *= 1e-9  # a near-zero row in the last block only
@@ -447,6 +452,31 @@ def _unit_rows(rng, m, n):
     return W / np.linalg.norm(W, axis=1, keepdims=True)
 
 
+# More than twice the rows of the largest kernel block on the frames of
+# _frames() (910, on the pair path of the 2x3x3 complement)
+_SPANNING_ROWS = 1827
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to the kernel function ``name``."""
+    calls, real = [], getattr(ent, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ent, name, spy)
+    return calls
+
+
+def _takes_pair_path(pred, frame):
+    """Whether the kernel reads the states of ``frame`` off its pair tensor."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy(mp, "_pair_tensor")
+        defect_coords_batch(np.eye(1, 2 * len(frame)), pred, frame)
+    return bool(calls)
+
+
 def _frames():
     """One complement frame per kernel path.
 
@@ -460,7 +490,7 @@ def _frames():
     }
     for name, frame in frames.items():
         for pred in (Strict(), GhzType(2)):
-            assert ent._kernel_path(pred, frame)[0] == (name == "2x3x3")
+            assert _takes_pair_path(pred, frame) == (name == "2x3x3")
     return frames
 
 
@@ -514,14 +544,16 @@ def test_closed_form_gradient_is_tangent_to_scale_and_phase():
             assert np.max(np.abs(np.sum(g * iW, axis=1))) < 1e-12
 
 
-def test_closed_form_gradient_spans_kernel_blocks():
+def test_closed_form_gradient_spans_kernel_blocks(monkeypatch):
     rng = np.random.default_rng(109)
+    blocks = _spy(monkeypatch, "_z_block")
     for frame in _frames().values():
         shape = frame[0].shape
         for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (1,)), 2)):
-            rows = 2 * ent._kernel_path(pred, frame)[1] + 7  # three kernel blocks
-            W = _unit_rows(rng, rows, 2 * len(frame))
+            W = _unit_rows(rng, _SPANNING_ROWS, 2 * len(frame))
+            blocks.clear()
             block = defect_gradient(W, pred, frame)
+            assert len(blocks) >= 3
             single = np.array([defect_gradient(w, pred, frame) for w in W])
             assert np.max(np.abs(block - single)) <= 1e-12
         V = W.copy()
@@ -540,6 +572,7 @@ def test_closed_form_gradient_spans_kernel_blocks():
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 3, 3), (2, 2, 2, 2)])
 def test_pair_and_state_paths_agree(dims, monkeypatch):
+    pair_calls = _spy(monkeypatch, "_pair_tensor")
     shape = SystemShape(dims)
     rng = np.random.default_rng(sum(dims) * 113)
     for kept in sorted({1, shape.total // 2, shape.total - 2}):
@@ -553,13 +586,16 @@ def test_pair_and_state_paths_agree(dims, monkeypatch):
         preds += [CutRestricted(Bipartition(shape, (s,)), 2) for s in range(len(dims))]
         for fr in (frame, skewed):
             for pred in preds:
-                out = {}
+                out, paired = {}, []
                 for crossover in (0, 10**12):  # state path, then pair path
                     monkeypatch.setattr(ent, "_PAIR_MAX", crossover)
+                    before = len(pair_calls)
                     out[crossover] = (
                         defect_coords_batch(W, pred, fr),
                         defect_gradient(W, pred, fr),
                     )
+                    paired.append(len(pair_calls) > before)
+                assert paired == [False, True]
                 (v_state, g_state), (v_pair, g_pair) = out[0], out[10**12]
                 assert np.max(np.abs(v_state - v_pair)) <= 1e-13
                 assert np.max(np.abs(g_state - g_pair)) <= 1e-12
@@ -615,9 +651,10 @@ def test_rows_last_kernel_matches_einsum_oracle(dims):
             assert np.max(np.abs(defect_gradient(W, pred, fr) - grads)) <= 1e-12
 
 
-def test_large_complement_takes_the_state_path_uncached():
+def test_large_complement_takes_the_state_path_uncached(monkeypatch):
     # the 1088-ket complement of the 33x33 maximally entangled ket would need
-    # a pair tensor of 1088^2 x 1089 entries (about 20 GB)
+    # a pair tensor of 1088^2 x 1089 entries (about 20 GB); the state path
+    # must leave nothing that keeps its 19 MB frame alive
     shape = SystemShape((33, 33))
     amps = np.zeros(shape.total)
     amps[:: 33 + 1] = 33**-0.5
@@ -627,9 +664,8 @@ def test_large_complement_takes_the_state_path_uncached():
     W = _unit_rows(rng, 3, 2 * len(frame))
     d = _unit_rows(rng, 1, 2 * len(frame))[0]
     h = 1e-6
-    cached = ent._pair_tensor.cache_info()
+    pair_calls = _spy(monkeypatch, "_pair_tensor")
     for pred in (Strict(), GhzType(2)):
-        assert not ent._kernel_path(pred, frame)[0]
         vals = defect_coords_batch(W, pred, frame)
         for w, v in zip(W, vals):
             assert v == pytest.approx(defect(coords_to_ket(w, frame), pred), abs=1e-12)
@@ -637,7 +673,11 @@ def test_large_complement_takes_the_state_path_uncached():
         assert np.max(np.abs(np.sum(g * W, axis=1))) < 1e-12
         hi, lo = defect_coords_batch(np.array([W[0] + h * d, W[0] - h * d]), pred, frame)
         assert np.dot(g[0], d) == pytest.approx((hi - lo) / (2 * h), abs=1e-7)
-    assert ent._pair_tensor.cache_info() == cached
+    assert not pair_calls
+    kept = weakref.ref(frame[0])
+    del frame
+    gc.collect()
+    assert kept() is None
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

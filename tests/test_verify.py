@@ -6,7 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
+import umeb.constructions
 import umeb.verify
+from umeb.cli import search_json_text
 from umeb.constructions import (
     DecomposedVector,
     LabeledBasis,
@@ -191,6 +193,30 @@ def test_search_is_deterministic():
     r2 = unextendibility_search(fam, GhzType(2), small_cfg())
     assert r1.per_restart_minima == r2.per_restart_minima
     assert np.array_equal(r1.argmin.amps, r2.argmin.amps)
+
+
+def test_search_reuses_the_complement_kept_with_the_basis(monkeypatch):
+    calls, real = [], umeb.constructions.orthonormal_complement
+    monkeypatch.setattr(
+        umeb.constructions, "orthonormal_complement", lambda kets: calls.append(kets) or real(kets)
+    )
+    cfg = small_cfg()
+
+    def search_text(basis):
+        return search_json_text(basis, "ghz2", unextendibility_search(basis, GhzType(2), cfg), cfg)
+
+    basis = umeb_2x3x3_first()
+    texts = [search_text(basis), search_text(basis)]
+    assert len(calls) == 1
+    assert texts == [search_text(umeb_2x3x3_first())] * 2
+    assert len(calls) == 2
+    s = SystemShape((2, 2))
+    twice = DecomposedVector(basis_ket(s, (0, 1)))
+    dependent = LabeledBasis("dependent", s, ("a", "b"), (twice, twice))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="numerical rank"):
+            unextendibility_search(dependent, Strict(), cfg)
+    assert len(calls) == 4
 
 
 def test_search_result_invariants():
