@@ -10,6 +10,7 @@ extended; a minimum at zero produces the extending state as a witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -56,8 +57,7 @@ def check_completeness(basis: LabeledBasis) -> CompletenessCheck:
 class SearchConfig:
     """Knobs of the multi-start descent; defaults match the certificates.
 
-    ``step`` is every row's first trial step and sets the cap, 100 times
-    ``step``, on the Barzilai–Borwein steps that follow; ``shrink`` is the
+    ``step`` is every row's first trial step; ``shrink`` is the
     backtracking factor applied after a trial that does not decrease the
     objective.
     """
@@ -84,8 +84,9 @@ class SearchConfig:
 # this size, so memory does not grow with cfg.restarts beyond the results.
 _LOCKSTEP = 32
 
-# Barzilai–Borwein steps are clipped to this multiple of cfg.step.
-_BB_CAP = 100.0
+# One trial moves a row by at most this tangent length (about 27 degrees on
+# the unit sphere): every trial step is at most _MOVE_CAP / |g|.
+_MOVE_CAP = 0.5
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -112,9 +113,11 @@ def minimize_on_sphere(
     ``cfg.step``; after an accepted step the next trial step is the BB2
     step ``s.y / y.y`` (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988),
     where ``s`` is the change in the row's point and ``y`` the change in
-    ``g``, clipped to ``_BB_CAP * cfg.step`` and replaced by that cap when
-    ``s.y <= 0``.  A trial is accepted only if the objective decreases;
-    otherwise the step shrinks by ``cfg.shrink`` and the row tries again.
+    ``g``.  Every trial step is capped at ``_MOVE_CAP / |g|``, so one trial
+    moves the point by a tangent length of at most ``_MOVE_CAP``; a row
+    whose ``s.y <= 0`` takes that capped step.  A trial is accepted only
+    if the objective decreases; otherwise the step shrinks by
+    ``cfg.shrink`` and the row tries again.
 
     A row stops when ``|g|`` drops below ``cfg.grad_tol``, or by step
     underflow: when no trial step is left that could show a decrease,
@@ -130,28 +133,29 @@ def minimize_on_sphere(
         raise ValueError("start point is numerically zero")
     W /= norms[:, None]
     f = np.array(value(W), dtype=np.float64)
-    histories = [[float(x)] for x in f]
+    histories = [[x] for x in f.tolist()]
     alpha = np.full(len(W), cfg.step)
-    cap = _BB_CAP * cfg.step
     W_last = np.empty_like(W)  # each row's previous accepted point ...
     G_last = np.empty_like(W)  # ... and its tangent gradient there
     live = np.arange(len(W))  # rows still descending
+    dot = lambda a, b: np.einsum("ij,ij->i", a, b)  # row-wise inner products
     for it in range(cfg.max_iters):
         if not live.size:
             break
         P = W[live]
         G = grad(P)
-        G = G - np.sum(G * P, axis=1)[:, None] * P
-        gg = np.sum(G * G, axis=1)
-        steep = np.sqrt(gg) > cfg.grad_tol
-        live, P, G, gg = live[steep], P[steep], G[steep], gg[steep]
+        G -= dot(G, P)[:, None] * P
+        gg = dot(G, G)
+        steep = gg > cfg.grad_tol**2
+        if not steep.all():
+            live, P, G, gg = live[steep], P[steep], G[steep], gg[steep]
         if it:  # every live row moved in the previous iteration: BB2 step
             s, y = P - W_last[live], G - G_last[live]
-            sy, yy = np.sum(s * y, axis=1), np.sum(y * y, axis=1)
-            bb = np.full(live.size, cap)
+            sy, yy = dot(s, y), dot(y, y)
             curved = sy > 0.0
-            bb[curved] = np.minimum(sy[curved] / yy[curved], cap)
-            alpha[live] = bb
+            alpha[live] = np.inf  # s.y <= 0: the capped step below
+            alpha[live[curved]] = sy[curved] / yy[curved]
+        alpha[live] = np.minimum(alpha[live], _MOVE_CAP / np.sqrt(gg))
         W_last[live], G_last[live] = P, G
         # below this step the decrease alpha*|g|^2 hides in the rounding of f
         least = np.maximum(1e-14, 4.0 * _EPS * np.abs(f[live]) / gg)
@@ -160,19 +164,30 @@ def minimize_on_sphere(
         while trying.size:
             rows = live[trying]
             cand = W[rows] - alpha[rows][:, None] * G[trying]
-            cand /= np.linalg.norm(cand, axis=1)[:, None]
+            cand /= np.sqrt(dot(cand, cand))[:, None]
             fc = np.asarray(value(cand))
             better = fc < f[rows]
-            won = rows[better]
-            W[won], f[won] = cand[better], fc[better]
-            for r in won:
-                histories[r].append(float(f[r]))
+            won, fwon = rows[better], fc[better]
+            W[won], f[won] = cand[better], fwon
+            for r, x in zip(won.tolist(), fwon.tolist()):
+                histories[r].append(x)
             moved[trying[better]] = True
             alpha[rows[~better]] *= cfg.shrink
             trying = trying[~better]
             trying = trying[alpha[live[trying]] >= least[trying]]
         live = live[moved]
     return W, f, histories
+
+
+@functools.lru_cache(maxsize=8)
+def _starts(seed: int, first: int, count: int, ncoord: int) -> np.ndarray:
+    """Read-only start rows of restarts ``first`` to ``first + count - 1``:
+    restart ``r`` draws ``default_rng((seed, r)).standard_normal(ncoord)``.
+    Cached, so searches in one process with the same seed and complement
+    dimension build their starts once."""
+    W0 = np.array([np.random.default_rng((seed, r)).standard_normal(ncoord) for r in range(first, first + count)])
+    W0.flags.writeable = False
+    return W0
 
 
 def _check_tol(name: str, tol: float) -> None:
@@ -242,8 +257,7 @@ def unextendibility_search(
     grad = lambda W: defect_gradient(W, pred, frame)
     finals_w, finals_f = [], []
     for first in range(0, cfg.restarts, _LOCKSTEP):
-        group = range(first, min(first + _LOCKSTEP, cfg.restarts))
-        W0 = np.array([np.random.default_rng((cfg.seed, r)).standard_normal(ncoord) for r in group])
+        W0 = _starts(cfg.seed, first, min(_LOCKSTEP, cfg.restarts - first), ncoord)
         W, f, _ = minimize_on_sphere(value, grad, W0, cfg)
         finals_w.append(W)
         finals_f.extend(float(x) for x in f)

@@ -15,6 +15,7 @@ from umeb.constructions import (
     meb8,
     umeb_2x3_type1,
     umeb_2x3x3_first,
+    umeb_2x3x3_second,
 )
 from umeb.entanglement import (
     CutRestricted,
@@ -188,11 +189,16 @@ def test_search_on_complete_basis_reports_complete():
 
 
 def test_search_is_deterministic():
+    # the first search builds its starts and the second reads them cached
     fam = umeb_2x3_type1()
-    r1 = unextendibility_search(fam, GhzType(2), small_cfg())
-    r2 = unextendibility_search(fam, GhzType(2), small_cfg())
+    cfg = small_cfg()
+    umeb.verify._starts.cache_clear()
+    r1 = unextendibility_search(fam, GhzType(2), cfg)
+    r2 = unextendibility_search(fam, GhzType(2), cfg)
+    assert umeb.verify._starts.cache_info()[:2] == (1, 1)  # hits, misses
     assert r1.per_restart_minima == r2.per_restart_minima
     assert np.array_equal(r1.argmin.amps, r2.argmin.amps)
+    assert search_json_text(fam, "ghz2", r1, cfg) == search_json_text(fam, "ghz2", r2, cfg)
 
 
 def test_search_reuses_the_complement_kept_with_the_basis(monkeypatch):
@@ -255,37 +261,82 @@ def test_search_tie_break_takes_lowest_restart_index():
 
 def test_search_beyond_one_lockstep_group_keeps_seeds_and_tie_rule():
     # 35 restarts run as two lockstep groups; on the constant 2x3 landscape
-    # every restart ties, and the argmin is still restart 0's start point
+    # every restart ties, and the argmin is still restart 0's start point.
+    # Each group's starts are built once, as one read-only block of the
+    # default_rng((seed, r)) draws
     fam = umeb_2x3_type1()
     frame = orthonormal_complement(fam.kets)
+    umeb.verify._starts.cache_clear()
     res = unextendibility_search(fam, GhzType(2), small_cfg(restarts=35, seed=3))
     assert len(res.per_restart_minima) == 35
     assert max(res.per_restart_minima) == pytest.approx(0.25, abs=1e-12)
     w0 = np.random.default_rng((3, 0)).standard_normal(2 * len(frame))
     expect = coords_to_ket(w0 / np.linalg.norm(w0), frame)
     assert np.allclose(res.argmin.amps, expect.amps, atol=1e-14)
+    ncoord = 2 * len(frame)
+    blocks = [umeb.verify._starts(3, 0, 32, ncoord), umeb.verify._starts(3, 32, 3, ncoord)]
+    assert umeb.verify._starts.cache_info()[:2] == (2, 2)  # hits, misses
+    draws = [np.random.default_rng((3, r)).standard_normal(ncoord) for r in range(35)]
+    assert np.array_equal(np.concatenate(blocks), draws)
+    for block in blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
 
 
 def test_search_work_is_pinned(monkeypatch):
     # callback counts do not depend on the machine: Barzilai–Borwein steps
     # and the rounding-aware stop take each default search to its floor
-    # in a few dozen batched calls (several hundred with fixed capped steps)
-    calls = []
-    for name in ("defect_coords_batch", "defect_gradient"):
+    # in a few dozen batched calls (several hundred with fixed capped steps),
+    # and the move cap leaves at most one backtracking retry per search
+    calls = {"defect_coords_batch": 0, "defect_gradient": 0}
+    for name in calls:
         kernel = getattr(umeb.verify, name)
 
-        def counted(*args, kernel=kernel, **kwargs):
-            calls.append(kernel)
+        def counted(*args, kernel=kernel, name=name, **kwargs):
+            calls[name] += 1
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(umeb.verify, name, counted)
-    fam = umeb_2x3x3_first()
-    for pred, floor in ((GhzType(2), 0.25), (Strict(), 5.0 / 6.0)):
-        calls.clear()
-        res = unextendibility_search(fam, pred, SearchConfig())
-        assert len(calls) <= 60
-        assert len(res.per_restart_minima) == 32
-        assert max(abs(m - floor) for m in res.per_restart_minima) <= 1e-12
+    for fam in (umeb_2x3x3_first(), umeb_2x3x3_second()):
+        cut1 = CutRestricted(Bipartition(fam.shape, (0,)), 2)
+        for pred, floor in ((GhzType(2), 0.25), (Strict(), 5.0 / 6.0), (cut1, 0.0)):
+            calls.update(dict.fromkeys(calls, 0))
+            res = unextendibility_search(fam, pred, SearchConfig())
+            values, grads = calls["defect_coords_batch"], calls["defect_gradient"]
+            assert values + grads <= 24
+            assert values - grads <= 1
+            assert len(res.per_restart_minima) == 32
+            assert max(abs(m - floor) for m in res.per_restart_minima) <= 1e-12
+
+
+def test_minimize_on_sphere_caps_every_move():
+    # on an indefinite quadratic one row's first Barzilai–Borwein step sees
+    # s.y <= 0; still no trial moves a point by a tangent length alpha |g|
+    # above 0.5.  One row per descent, so every trial starts from the point
+    # w of the last gradient call: a trial c is w - alpha g renormalized,
+    # with g orthogonal to w, so alpha g = w - c / (c.w)
+    value, grad = quadratic([-3.0, 2.0, 0.3, 1.0])
+    first_sy = []
+    for w0 in np.random.default_rng(83).standard_normal((6, 4)):
+        at, tangents, moves = [], [], []
+
+        def traced_grad(W):
+            w, g = W[0].copy(), grad(W)
+            at.append(w)
+            tangents.append(g[0] - (g[0] @ w) * w)
+            return g
+
+        def traced_value(W):
+            if at:
+                w, c = at[-1], W[0]
+                moves.append(np.linalg.norm(w - c / (c @ w)))
+            return value(W)
+
+        W, f, _ = minimize_on_sphere(traced_value, traced_grad, w0, SearchConfig())
+        assert abs(f[0] + 3.0) <= 1e-9
+        assert max(moves) <= 0.5 + 1e-12
+        first_sy.append((at[1] - at[0]) @ (tangents[1] - tangents[0]))
+    assert min(first_sy) <= 0.0
 
 
 def test_proper_subsets_of_meb8_extend():
