@@ -29,7 +29,6 @@ from .entanglement import (
     defect_gradient,
     is_maximally_entangled,
     predicate_cuts,
-    predicate_label,
     schmidt_coefficients,
 )
 from .constructions import (
@@ -48,16 +47,13 @@ from .constructions import (
 )
 from .verify import (
     CAVEATS,
-    BasisReport,
     CompletenessCheck,
     MubReport,
     OrthonormalityCheck,
-    PredicateReport,
     SearchConfig,
     UnextendibilityResult,
     check_completeness,
     check_orthonormal,
-    full_report,
     minimize_on_sphere,
     mub_overlap,
     set_match_distance,

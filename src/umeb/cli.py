@@ -50,10 +50,10 @@ from .entanglement import (
 )
 from .hilbert import Bipartition, Ket, SystemShape
 from .verify import (
+    CAVEATS,
     SearchConfig,
     check_completeness,
     check_orthonormal,
-    full_report,
     mub_overlap,
     set_match_distance,
     unextendibility_search,
@@ -297,10 +297,6 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def cmd_export(args) -> int:
-    if args.name not in basis_names():
-        raise CliError(
-            f"unknown basis {args.name!r}; known: {', '.join(basis_names())}"
-        )
     _write_text(args.output, basis_file_text(named_basis(args.name)))
     return 0
 
@@ -309,44 +305,36 @@ def cmd_verify(args) -> int:
     basis = _resolve_basis(args.basis)
     pred = predicate_from_flag(args.predicate, basis.shape)
     cfg = SearchConfig(restarts=args.restarts, seed=args.seed)
-    report = full_report(basis, [pred], cfg)
-    print(f"basis {report.name} ({report.shape}, {report.size} vectors)")
-    onb = report.orthonormal
+    # every check runs before the first line is printed, so a check that
+    # raises leaves stdout empty
+    onb = check_orthonormal(basis)
+    rank, complete = check_completeness(basis)
+    checks = [is_maximally_entangled(ket, pred) for ket in basis.kets]
+    # a dependent set has no well-defined complement to search
+    search = unextendibility_search(basis, pred, cfg) if rank == len(basis) else None
+    print(f"basis {basis.name} ({basis.shape}, {len(basis)} vectors)")
     print(f"orthonormal: {'yes' if onb.ok else 'NO'} (residual {onb.residual:.3e})")
-    total = basis.shape.total
-    print(
-        f"rank: {report.rank}/{total} "
-        f"({'complete' if report.complete else 'not complete'})"
-    )
-    failed_me = False
-    for pr in report.predicates:
-        print(f"predicate {pr.label}:")
-        worst = max(r for _, r in pr.per_vector)
-        if pr.all_ok:
-            print(
-                f"  maximally entangled: all {len(pr.per_vector)} vectors "
-                f"(worst residual {worst:.3e})"
-            )
-        else:
-            failed_me = True
-            bad = [lab for lab, r in pr.per_vector if r >= 1e-8]
-            print(
-                f"  maximally entangled: NO -- failing: {', '.join(bad)} "
-                f"(worst residual {worst:.3e})"
-            )
-        if pr.search is None:
-            print("  search: skipped (vectors are linearly dependent)")
-        elif pr.search.complement_dim == 0:
-            print("  search: complement is empty -> complete")
-        else:
-            print(
-                f"  search: complement dim {pr.search.complement_dim}, "
-                f"min defect {pr.search.min_defect:.6g} -> {pr.search.verdict}"
-            )
+    print(f"rank: {rank}/{basis.shape.total} ({'complete' if complete else 'not complete'})")
+    print(f"predicate {args.predicate}:")
+    worst = max(chk.max_residual for chk in checks)
+    failing = [lab for lab, chk in zip(basis.labels, checks) if not chk.ok]
+    if failing:
+        print(f"  maximally entangled: NO -- failing: {', '.join(failing)} (worst residual {worst:.3e})")
+    else:
+        print(f"  maximally entangled: all {len(checks)} vectors (worst residual {worst:.3e})")
+    if search is None:
+        print("  search: skipped (vectors are linearly dependent)")
+    elif search.complement_dim == 0:
+        print("  search: complement is empty -> complete")
+    else:
+        print(
+            f"  search: complement dim {search.complement_dim}, "
+            f"min defect {search.min_defect:.6g} -> {search.verdict}"
+        )
     print("caveats:")
-    for c in report.caveats:
+    for c in CAVEATS:
         print(f"  - {c}")
-    return 2 if (not onb.ok or failed_me) else 0
+    return 2 if (not onb.ok or failing) else 0
 
 
 def overlap_csv_text(a: LabeledBasis, b: LabeledBasis, mags: np.ndarray) -> str:
@@ -555,10 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -65,17 +65,6 @@ class CutRestricted:
 
 
 Predicate = Union[Strict, GhzType, CutRestricted]
-
-
-def predicate_label(pred: Predicate) -> str:
-    """Short display name: ``strict``, ``ghz2``, ``cut1``, ..."""
-    if isinstance(pred, Strict):
-        return "strict"
-    if isinstance(pred, GhzType):
-        return f"ghz{pred.d}"
-    if isinstance(pred, CutRestricted):
-        return "cut" + "+".join(str(s + 1) for s in pred.cut.sites)
-    raise TypeError(f"unknown predicate {pred!r}")
 
 
 def predicate_cuts(pred: Predicate, shape) -> list[Bipartition]:
@@ -471,37 +460,22 @@ def _rho_gradient(rho: np.ndarray, pred: Predicate) -> np.ndarray:
     return g
 
 
-def defect_gradient(
-    W: np.ndarray,
-    pred: Predicate,
-    frame: Sequence[Ket],
-    step: Optional[float] = None,
-) -> np.ndarray:
-    """Gradient of the coordinate-form defect.
+def defect_gradient(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.ndarray:
+    """Exact gradient of the coordinate-form defect.
 
     ``W`` is one coordinate vector or an ``(m, 2c)`` block of them, each
-    encoding a unit ket within 1e-8; the result has the same shape.  By
-    default the gradient is exact: per cut ``G = df/drho`` (see
-    :func:`_rho_gradient`), pulled back through the normalization and the
-    frame by the kernel block that formed rho (see :func:`_rho_blocks`).
-    Radial (scale) and global-phase directions carry no gradient.  With a
-    ``step`` it is taken by central finite differences instead, all 2 * 2c
-    probes of all rows in one :func:`defect_coords_batch` call: the
-    reference the closed form is tested against.
+    encoding a unit ket within 1e-8; the result has the same shape.  Per
+    cut ``G = df/drho`` (see :func:`_rho_gradient`) is pulled back through
+    the normalization and the frame by the kernel block that formed rho
+    (see :func:`_rho_blocks`).  Radial (scale) and global-phase directions
+    carry no gradient.
     """
     w = np.asarray(W, dtype=np.float64)
     W = _coord_rows(w, frame)
-    m, n = W.shape
     if (np.abs(np.sqrt(np.einsum("ij,ij->i", W, W)) - 1.0) > 1e-8).any():
         raise ValueError("coordinate vectors must encode unit kets (norm within 1e-8 of 1)")
-    if step is None:
-        grads = np.empty_like(W)
-        for rows, rhos, inv, pull in _rho_blocks(W, pred, frame):
-            gz = pull([_rho_gradient(rho, pred) for rho in rhos]) * (2.0 * inv)
-            grads[rows].view(np.complex128)[...] = gz.T
-    else:
-        eye = np.eye(n) * step
-        probes = np.concatenate([W[:, None, :] + eye, W[:, None, :] - eye], axis=1)
-        vals = defect_coords_batch(probes.reshape(2 * m * n, n), pred, frame).reshape(m, 2 * n)
-        grads = (vals[:, :n] - vals[:, n:]) / (2.0 * step)
+    grads = np.empty_like(W)
+    for rows, rhos, inv, pull in _rho_blocks(W, pred, frame):
+        gz = pull([_rho_gradient(rho, pred) for rho in rhos]) * (2.0 * inv)
+        grads[rows].view(np.complex128)[...] = gz.T
     return grads if w.ndim == 2 else grads[0]

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,9 +23,7 @@ from .entanglement import (
     coords_to_ket,
     defect_coords_batch,
     defect_gradient,
-    is_maximally_entangled,
     predicate_cuts,
-    predicate_label,
 )
 from .hilbert import Ket, gram_matrix, numerical_rank
 
@@ -362,71 +360,3 @@ CAVEATS: tuple[str, ...] = (
     "random sampling of the complement sphere.  They are strong evidence at "
     "the stated tolerances, not symbolic proofs.",
 )
-
-
-@dataclass(frozen=True, eq=False)
-class PredicateReport:
-    """Per-predicate slice of a basis report."""
-
-    predicate: Predicate
-    label: str
-    per_vector: tuple[tuple[str, float], ...]
-    all_ok: bool
-    search: Optional[UnextendibilityResult]
-
-
-@dataclass(frozen=True, eq=False)
-class BasisReport:
-    """Everything the verifier can say about one basis."""
-
-    name: str
-    shape: str
-    size: int
-    orthonormal: OrthonormalityCheck
-    rank: int
-    complete: bool
-    predicates: tuple[PredicateReport, ...]
-    caveats: tuple[str, ...] = field(default=CAVEATS)
-
-
-def full_report(
-    basis: LabeledBasis,
-    preds: Sequence[Predicate],
-    cfg: Optional[SearchConfig] = None,
-) -> BasisReport:
-    """Orthonormality, completeness, per-vector entanglement, and searches.
-
-    Searches are skipped (reported as None) when the vectors are linearly
-    dependent, since the complement is then ill-defined as "everything
-    orthogonal to a basis of the span they were claimed to be".
-    """
-    ortho = check_orthonormal(basis)
-    rank, complete = check_completeness(basis)
-    independent = rank == len(basis)
-    reports = []
-    for pred in preds:
-        per_vector = []
-        all_ok = True
-        for lab, ket in zip(basis.labels, basis.kets):
-            chk = is_maximally_entangled(ket, pred)
-            per_vector.append((lab, chk.max_residual))
-            all_ok = all_ok and chk.ok
-        search = unextendibility_search(basis, pred, cfg) if independent else None
-        reports.append(
-            PredicateReport(
-                predicate=pred,
-                label=predicate_label(pred),
-                per_vector=tuple(per_vector),
-                all_ok=all_ok,
-                search=search,
-            )
-        )
-    return BasisReport(
-        name=basis.name,
-        shape=str(basis.shape),
-        size=len(basis),
-        orthonormal=ortho,
-        rank=rank,
-        complete=complete,
-        predicates=tuple(reports),
-    )

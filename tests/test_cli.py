@@ -2,6 +2,7 @@
 output, and the demo run, all through ``main``."""
 
 import contextlib
+import importlib
 import io
 import json
 from pathlib import Path
@@ -15,7 +16,7 @@ from umeb.cli import basis_file_text, load_basis_file, main, search_json_text
 from umeb.constructions import basis_names, meb8, named_basis, umeb_2x3_type1, umeb_2x3x3_first
 from umeb.entanglement import GhzType, Strict
 from umeb.hilbert import Ket, SystemShape
-from umeb.verify import SearchConfig, UnextendibilityResult
+from umeb.verify import CAVEATS, SearchConfig, UnextendibilityResult
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
@@ -64,10 +65,14 @@ def test_export_round_trips_bit_exactly(tmp_path, capsys):
 
 
 def test_verify_complete_basis_passes(capsys):
-    code, out, _ = run(capsys, "verify", "meb8")
-    assert code == 0
-    assert "complete" in out
-    assert "caveats:" in out
+    assert len(CAVEATS) == 3
+    for flag in ("strict", "ghz2"):
+        code, out, _ = run(capsys, "verify", "meb8", "--predicate", flag)
+        assert code == 0
+        assert "rank: 8/8 (complete)\n" in out
+        assert f"predicate {flag}:\n" in out
+        assert "  search: complement is empty -> complete\n" in out
+        assert out.endswith("caveats:\n" + "".join(f"  - {c}\n" for c in CAVEATS))
 
 
 def test_verify_exit_code_tracks_predicate(capsys):
@@ -115,7 +120,9 @@ def test_verify_non_orthonormal_file_fails(tmp_path, capsys):
     path.write_text(json.dumps({"name": "dup", "shape": [2, 2], "vectors": [v, v]}))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 2
-    assert "NO" in out
+    assert "orthonormal: NO" in out
+    assert "rank: 1/4 (not complete)\n" in out
+    assert "  search: skipped (vectors are linearly dependent)\n" in out
 
 
 def test_search_json_is_byte_identical_across_runs(tmp_path, capsys):
@@ -243,6 +250,25 @@ def test_export_matches_golden_bytes(capsys, name):
     code, out, _ = run(capsys, "export", name)
     assert code == 0
     assert out.encode() == (GOLDEN / f"export-{name}.json").read_bytes()
+
+
+def test_verify_matches_golden_text(tmp_path, monkeypatch, capsys):
+    # the benchmark's seed-0 exports and verify commands, with its comparison:
+    # equal text, numbers equal to 1e-12
+    monkeypatch.syspath_prepend(str(GOLDEN.parent))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.chdir(tmp_path)
+    verified = 0
+    for argv in workloads.cli_script(0):
+        if argv[0] == "export":
+            assert run(capsys, *argv)[0] == 0
+        elif argv[0] == "verify":
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            want = (GOLDEN / workloads.golden_name(argv)).read_text(encoding="utf-8")
+            assert workloads.same_text(out, want), argv
+            verified += 1
+    assert verified == 4
 
 
 def test_search_json_layout_is_pinned():
@@ -425,8 +451,9 @@ def test_verify_cut1_bounds_d_by_the_first_cut(tmp_path, capsys):
     # on 3x2 the first cut is 3|2, and d = 3 does not fit
     vectors = [[[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0], [0, 0], [0, 0]]]
     path.write_text(json.dumps({"name": "b", "shape": [3, 2], "vectors": vectors}))
-    code, _, err = run(capsys, "verify", str(path), "--predicate", "cut1", "--restarts", "1")
+    code, out, err = run(capsys, "verify", str(path), "--predicate", "cut1", "--restarts", "1")
     assert code == 1
+    assert out == ""
     assert "d=3 exceeds the cut's smaller side, 2" in err
 
 

@@ -33,11 +33,9 @@ from umeb.hilbert import (
     stack_amps,
 )
 from umeb.verify import (
-    CAVEATS,
     SearchConfig,
     check_completeness,
     check_orthonormal,
-    full_report,
     minimize_on_sphere,
     mub_overlap,
     set_match_distance,
@@ -437,36 +435,3 @@ def test_set_match_distance():
     assert set_match_distance(fam, reversed_fam) < 1e-15
     with pytest.raises(ValueError):
         set_match_distance(fam, meb8())
-
-
-def test_full_report_on_complete_basis():
-    rep = full_report(meb8(), [Strict(), GhzType(2)], small_cfg())
-    assert rep.orthonormal.ok
-    assert rep.complete and rep.rank == 8
-    assert [p.label for p in rep.predicates] == ["strict", "ghz2"]
-    for p in rep.predicates:
-        assert p.all_ok
-        assert p.search.verdict == "complete"
-    assert rep.caveats == CAVEATS
-    assert len(rep.caveats) == 3
-
-
-def test_full_report_flags_predicate_failures():
-    rep = full_report(umeb_2x3x3_first(), [Strict()], small_cfg(restarts=2))
-    p = rep.predicates[0]
-    assert not p.all_ok
-    assert p.search is not None
-    assert p.search.verdict == "unextendible"
-    assert not rep.complete
-
-
-def test_full_report_skips_search_for_dependent_sets():
-    s = SystemShape((2, 2))
-    v = basis_ket(s, (0, 0))
-    dup = LabeledBasis(
-        "dup", s, ("a", "b"), (DecomposedVector(v), DecomposedVector(v))
-    )
-    rep = full_report(dup, [Strict()], small_cfg())
-    assert not rep.orthonormal.ok
-    assert rep.rank == 1
-    assert rep.predicates[0].search is None
