@@ -8,7 +8,7 @@ import pytest
 
 import umeb.constructions
 import umeb.verify
-from umeb.cli import search_json_text
+from umeb.cli import basis_file_text, main, search_json_text
 from umeb.constructions import (
     DecomposedVector,
     LabeledBasis,
@@ -33,6 +33,7 @@ from umeb.hilbert import (
     stack_amps,
 )
 from umeb.verify import (
+    CAVEATS,
     SearchConfig,
     check_completeness,
     check_orthonormal,
@@ -435,3 +436,45 @@ def test_set_match_distance():
     assert set_match_distance(fam, reversed_fam) < 1e-15
     with pytest.raises(ValueError):
         set_match_distance(fam, meb8())
+
+
+def _verify(capsys, *argv):
+    code = main(["verify", *argv])
+    return code, capsys.readouterr().out
+
+
+def test_full_report_on_complete_basis(capsys):
+    # the report that umeb verify prints: every check passes on meb8 under
+    # both predicates, the empty complement reads as complete, then the caveats
+    assert len(CAVEATS) == 3
+    for flag in ("strict", "ghz2"):
+        code, out = _verify(capsys, "meb8", "--predicate", flag, "--restarts", "4")
+        assert code == 0
+        assert "orthonormal: yes" in out
+        assert "rank: 8/8 (complete)\n" in out
+        assert f"predicate {flag}:\n  maximally entangled: all 8 vectors" in out
+        assert "  search: complement is empty -> complete\n" in out
+        assert out.endswith("caveats:\n" + "".join(f"  - {c}\n" for c in CAVEATS))
+
+
+def test_full_report_flags_predicate_failures(capsys):
+    code, out = _verify(capsys, "umeb-2x3x3-1", "--predicate", "strict", "--restarts", "2")
+    assert code == 2
+    assert "  maximally entangled: NO -- failing: " in out
+    assert "(not complete)\n" in out
+    assert out.splitlines()[5].endswith("-> unextendible")
+
+
+def test_full_report_skips_search_for_dependent_sets(tmp_path, capsys):
+    s = SystemShape((2, 2))
+    v = basis_ket(s, (0, 0))
+    dup = LabeledBasis(
+        "dup", s, ("a", "b"), (DecomposedVector(v), DecomposedVector(v))
+    )
+    path = tmp_path / "dup.json"
+    path.write_text(basis_file_text(dup))
+    code, out = _verify(capsys, str(path), "--predicate", "strict", "--restarts", "4")
+    assert code == 2
+    assert "orthonormal: NO" in out
+    assert "rank: 1/4 (not complete)\n" in out
+    assert "  search: skipped (vectors are linearly dependent)\n" in out
