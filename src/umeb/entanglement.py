@@ -11,17 +11,20 @@ differ once the local dimensions are unequal:
 * :class:`GhzType` -- on every bipartition the reduced state has exactly
   ``d`` nonzero eigenvalues, all equal to 1/d.  The GHZ state satisfies
   this with d=2 in 2x2x2, and so do the lifted 2x3x3 bases.
-* :class:`CutRestricted` -- Schmidt coefficients across one designated
-  bipartition all equal 1/sqrt(d); the other cuts are ignored.
+* :class:`CutRestricted` -- the reduced state equals I/d on the smaller
+  side of one designated bipartition, d that side's dimension; the other
+  cuts are ignored.
 
 Each predicate has a smooth nonnegative defect that vanishes exactly on
 its satisfying set; the defect is what the unextendibility search
-minimizes over complement subspaces.
+minimizes over complement subspaces.  Every defect is a polynomial in the
+reduced states, of degree 2 (Strict, CutRestricted) or 4 (GhzType).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -54,14 +57,16 @@ class GhzType:
 
 @dataclass(frozen=True)
 class CutRestricted:
-    """Schmidt coefficients across one designated cut all equal 1/sqrt(d)."""
+    """Schmidt coefficients across one designated cut all equal 1/sqrt(d),
+    where d is the dimension of the cut's smaller side."""
 
     cut: Bipartition
     d: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"CutRestricted needs d >= 2, got {self.d}")
+        small = min(self.cut.dim_a, self.cut.dim_b)
+        if self.d != small:
+            raise ValueError(f"CutRestricted needs d equal to the cut's smaller side, {small}; got d={self.d}")
 
 
 Predicate = Union[Strict, GhzType, CutRestricted]
@@ -72,9 +77,6 @@ def predicate_cuts(pred: Predicate, shape) -> list[Bipartition]:
     if isinstance(pred, CutRestricted):
         if pred.cut.shape != shape:
             raise ValueError(f"predicate cut is over {pred.cut.shape}, state is over {shape}")
-        small = min(pred.cut.dim_a, pred.cut.dim_b)
-        if pred.d > small:
-            raise ValueError(f"parameter d={pred.d} exceeds the cut's smaller side, {small}")
         return [pred.cut]
     if isinstance(pred, (Strict, GhzType)):
         if isinstance(pred, GhzType) and pred.d > min(shape.dims):
@@ -112,23 +114,21 @@ def _check_unit(v: Ket) -> None:
         raise ValueError(f"ket is not normalized (norm {v.norm():.6g})")
 
 
-def _schmidt(rho: np.ndarray) -> np.ndarray:
-    """Descending Schmidt coefficients from a reduced state."""
-    return np.sqrt(np.clip(hermitian_eigenvalues(rho), 0.0, None))
+def _check_tol(name: str, tol: float) -> None:
+    # a NaN tolerance fails every comparison and an infinite one passes
+    # every comparison, so either would decide the verdict on its own
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
 def _residual(rho: np.ndarray, pred: Predicate) -> float:
-    """One cut's residual from its reduced state (small side for CutRestricted)."""
+    """One cut's residual from its reduced state on the cut's smaller side."""
     da = rho.shape[0]
-    if isinstance(pred, Strict):
+    if not isinstance(pred, GhzType):
         return float(np.linalg.norm(rho - np.eye(da) / da))
-    if isinstance(pred, GhzType):
-        spec, level = hermitian_eigenvalues(rho), 1.0 / pred.d
-    else:
-        spec, level = _schmidt(rho), 1.0 / np.sqrt(pred.d)
     target = np.zeros(da)
-    target[: pred.d] = level
-    return float(np.linalg.norm(spec - target))
+    target[: pred.d] = 1.0 / pred.d
+    return float(np.linalg.norm(hermitian_eigenvalues(rho) - target))
 
 
 def schmidt_coefficients(v: Ket, cut: Bipartition) -> np.ndarray:
@@ -141,18 +141,18 @@ def schmidt_coefficients(v: Ket, cut: Bipartition) -> np.ndarray:
     if cut.shape != v.shape:
         raise ValueError(f"cut is over {cut.shape}, ket is over {v.shape}")
     _check_unit(v)
-    return _schmidt(_reduced_state(v, _small_side(cut)))
+    return np.sqrt(np.clip(hermitian_eigenvalues(_reduced_state(v, _small_side(cut))), 0.0, None))
 
 
 def is_maximally_entangled(v: Ket, pred: Predicate, tol: float = 1e-8) -> EntanglementCheck:
     """Evaluate a maximal-entanglement predicate on a unit ket, per cut.
 
-    Each cut's residual is its distance from the predicate's target.
-    Strict: Frobenius norm of rho_A - I/dim(H_A).  GhzType(d): 2-norm
-    distance of the sorted spectrum from (1/d, ..., 1/d, 0, ...).
-    CutRestricted(d): 2-norm distance of the Schmidt coefficients, read on
-    the smaller side, from (1/sqrt(d), ..., 1/sqrt(d), 0, ...).
+    Each cut's residual is its distance from the predicate's target, read
+    on the cut's smaller side.  Strict and CutRestricted: Frobenius norm of
+    rho_A - I/dim(H_A).  GhzType(d): 2-norm distance of the sorted spectrum
+    from (1/d, ..., 1/d, 0, ...).  ``tol`` must be finite and nonnegative.
     """
+    _check_tol("tol", tol)
     _check_unit(v)
     cuts = predicate_cuts(pred, v.shape)
     residuals = tuple((cut, _residual(_reduced_state(v, _small_side(cut)), pred)) for cut in cuts)
@@ -162,15 +162,13 @@ def is_maximally_entangled(v: Ket, pred: Predicate, tol: float = 1e-8) -> Entang
 def defect(v: Ket, pred: Predicate) -> float:
     """Smooth nonnegative defect; zero exactly on the predicate's states.
 
-    Strict sums ``||rho_A - I/N_A||_F^2`` over all cuts.  GhzType(d) sums
-    the polynomial surrogate ``||rho_A^2 - rho_A/d||_F^2``, which vanishes
-    iff every cut spectrum lies in {0, 1/d} (and the unit trace then forces
-    exactly d nonzero values); unlike the sorted-spectrum residual it is
-    differentiable everywhere, which is what the optimizer needs.
-    CutRestricted(d) penalizes the squared Schmidt coefficients mu_i:
-    sum of (mu_i - 1/d)^2 over the top d plus sum of mu_i^2 over the rest.
-    Evaluated by the state path of the :func:`defect_coords_batch` kernel,
-    as a block of one row.
+    Strict sums ``||rho_A - I/N_A||_F^2`` over all cuts, CutRestricted
+    takes it on its one cut.  GhzType(d) sums the polynomial surrogate
+    ``||rho_A^2 - rho_A/d||_F^2``, which vanishes iff every cut spectrum
+    lies in {0, 1/d} (and the unit trace then forces exactly d nonzero
+    values); unlike the sorted-spectrum residual it is differentiable
+    everywhere, which is what the optimizer needs.  Evaluated by the state
+    path of the :func:`defect_coords_batch` kernel, as a block of one row.
     """
     _check_unit(v)
     blocks = _group_blocks(v.amps[:, None], v.shape, _cut_plan(pred, v.shape)[0])
@@ -267,8 +265,7 @@ def defect_coords_batch(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) ->
     :func:`defect` on the coordinate encoding, one row per vector.  Rows
     are evaluated in blocks of bounded size (see :func:`_rho_blocks`), so
     the temporaries stay bounded for any batch size; every row must encode
-    a vector of norm above 1e-6.  For CutRestricted with d below the small
-    side's dimension the batched spectra come from LAPACK ``eigvalsh``.
+    a vector of norm above 1e-6.
     """
     W = _coord_rows(W, frame)
     out = np.empty(W.shape[0])
@@ -411,19 +408,12 @@ def _rho_defect(rhos, pred: Predicate, n: int) -> np.ndarray:
     """Defects of ``n`` rows from each group's ``(d_A, d_A, k n)`` reduced states."""
     out = np.zeros(n)
     for rho in rhos:
-        da = rho.shape[0]
-        if isinstance(pred, CutRestricted) and pred.d < da:
-            mu = np.linalg.eigvalsh(rho.transpose(2, 0, 1))[:, ::-1]
-            top, rest = mu[:, : pred.d], mu[:, pred.d :]
-            f = np.sum((top - 1.0 / pred.d) ** 2, axis=1) + np.sum(rest**2, axis=1)
-            out += f.reshape(-1, n).sum(axis=0)
-            continue
         if isinstance(pred, GhzType):  # X = rho^2 - rho/d
             x = _mm(rho, rho)
             x -= (1.0 / pred.d) * rho
-        else:  # Strict, or CutRestricted with d = da: sum_i (mu_i - 1/d)^2 = ||rho - I/d||^2
+        else:  # Strict and CutRestricted: X = rho - I/d_A
             x = rho.copy()
-            _diag(x)[...] -= 1.0 / da
+            _diag(x)[...] -= 1.0 / rho.shape[0]
         out += _rdot(x, x).reshape(-1, n).sum(axis=0)
     return out
 
@@ -439,23 +429,16 @@ def _rho_gradient(rho: np.ndarray, pred: Predicate) -> np.ndarray:
     For GhzType, ``rho X`` is taken as ``(X rho)^dagger``, since both are
     Hermitian.
     """
-    da = rho.shape[0]
-    if isinstance(pred, CutRestricted) and pred.d < da:
-        mu, u = np.linalg.eigh(rho.transpose(2, 0, 1))  # ascending, so the 1/d targets come last
-        target = np.zeros(da)
-        target[da - pred.d :] = 1.0 / pred.d
-        g = (u * (2.0 * (mu - target))[:, None, :]) @ u.conj().transpose(0, 2, 1)
-        g = np.ascontiguousarray(g.transpose(1, 2, 0))
-    elif isinstance(pred, GhzType):
+    if isinstance(pred, GhzType):
         x = _mm(rho, rho)
         x -= (1.0 / pred.d) * rho
         g = _mm(x, rho)
         g += g.conj().transpose(1, 0, 2)
         g -= (1.0 / pred.d) * x
         g *= 2.0
-    else:  # Strict, or CutRestricted with d = da: 2 (rho - I/d)
+    else:  # Strict and CutRestricted: 2 (rho - I/d_A)
         g = 2.0 * rho
-        _diag(g)[...] -= 2.0 / da
+        _diag(g)[...] -= 2.0 / rho.shape[0]
     _diag(g)[...] -= _rdot(g, rho)  # Re tr(G rho), both Hermitian
     return g
 

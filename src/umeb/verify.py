@@ -20,6 +20,7 @@ import numpy as np
 from .constructions import LabeledBasis
 from .entanglement import (
     Predicate,
+    _check_tol,
     coords_to_ket,
     defect_coords_batch,
     defect_gradient,
@@ -186,13 +187,6 @@ def _starts(seed: int, first: int, count: int, ncoord: int) -> np.ndarray:
     W0 = np.array([np.random.default_rng((seed, r)).standard_normal(ncoord) for r in range(first, first + count)])
     W0.flags.writeable = False
     return W0
-
-
-def _check_tol(name: str, tol: float) -> None:
-    # a NaN tolerance fails every comparison and an infinite one passes
-    # every comparison, so either would decide the verdict on its own
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
 @dataclass(frozen=True, eq=False)

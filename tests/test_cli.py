@@ -448,13 +448,13 @@ def test_verify_cut1_bounds_d_by_the_first_cut(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(path), "--predicate", "cut1", "--restarts", "1")
     assert code == 0, err
     assert "predicate cut1:\n  maximally entangled: all 1 vectors" in out
-    # on 3x2 the first cut is 3|2, and d = 3 does not fit
+    # on 3x2 the first cut is 3|2, and d = 3 is not its smaller side
     vectors = [[[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0], [0, 0], [0, 0]]]
     path.write_text(json.dumps({"name": "b", "shape": [3, 2], "vectors": vectors}))
     code, out, err = run(capsys, "verify", str(path), "--predicate", "cut1", "--restarts", "1")
     assert code == 1
     assert out == ""
-    assert "d=3 exceeds the cut's smaller side, 2" in err
+    assert "d equal to the cut's smaller side, 2; got d=3" in err
 
 
 _EXPORT = basis_file_text(umeb_2x3_type1())

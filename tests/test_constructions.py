@@ -153,7 +153,7 @@ def test_canonical_three_qubit_reduced_state_closed_form():
         mu = np.linalg.eigvalsh(expect)[::-1]
         assert np.allclose(schmidt_coefficients(v, cut) ** 2, mu, atol=1e-12)
         residual = is_maximally_entangled(v, CutRestricted(cut, 2)).max_residual
-        assert residual == pytest.approx(np.linalg.norm(np.sqrt(mu) - 2**-0.5), abs=1e-12)
+        assert residual == pytest.approx(np.linalg.norm(expect - np.eye(2) / 2), abs=1e-12)
 
 
 def test_xy_vectors_are_an_orthonormal_pair():

@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umeb.constructions import ghz3, lift_umeb, umeb_2x3_type1, umeb_2x3x3_first
@@ -40,6 +40,12 @@ from umeb.hilbert import (
     random_unitary,
     stack_amps,
 )
+
+
+def cut_restricted(shape, sites):
+    """CutRestricted on ``sites``, with d its cut's smaller side."""
+    cut = Bipartition(shape, sites)
+    return CutRestricted(cut, min(cut.dim_a, cut.dim_b))
 
 
 def bell22():
@@ -91,13 +97,18 @@ def test_schmidt_spectrum_same_on_both_cut_orientations():
 def test_predicate_validation():
     with pytest.raises(ValueError):
         GhzType(1)
-    with pytest.raises(ValueError):
-        CutRestricted(Bipartition(SystemShape((2, 3)), (0,)), 0)
     shape = SystemShape((2, 3, 3))
     with pytest.raises(ValueError, match="smallest subsystem"):
         predicate_cuts(GhzType(3), shape)
-    with pytest.raises(ValueError, match="the cut's smaller side"):
-        predicate_cuts(CutRestricted(Bipartition(shape, (0,)), 3), shape)
+    # d must be the dimension of the cut's smaller side, neither below nor above it
+    for d in (0, 1, 2, 4):
+        with pytest.raises(ValueError, match=f"the cut's smaller side, 3; got d={d}"):
+            CutRestricted(Bipartition(shape, (1,)), d)
+    with pytest.raises(ValueError, match="the cut's smaller side, 2; got d=3"):
+        CutRestricted(Bipartition(shape, (0,)), 3)
+    # a cut listed from its larger side (9|2) takes the smaller side's d
+    larger = Bipartition(shape, (1, 2))
+    assert predicate_cuts(CutRestricted(larger, 2), shape) == [larger]
     wrong = Bipartition(SystemShape((2, 2)), (0,))
     with pytest.raises(ValueError, match="state is over"):
         predicate_cuts(CutRestricted(wrong, 2), shape)
@@ -107,7 +118,7 @@ def test_predicate_cut_enumeration_and_labels():
     shape = SystemShape((2, 3, 3))
     assert [c.sites for c in predicate_cuts(Strict(), shape)] == [(0,), (1,), (2,)]
     cut = Bipartition(shape, (1,))
-    assert predicate_cuts(CutRestricted(cut, 2), shape) == [cut]
+    assert predicate_cuts(CutRestricted(cut, 3), shape) == [cut]
 
 
 def test_ghz_satisfies_strict_and_ghz_type():
@@ -174,7 +185,8 @@ def test_cut_restricted_d_is_bounded_by_the_cut_not_the_smallest_site():
         chk = is_maximally_entangled(v, CutRestricted(side, 3))
         assert chk.ok and chk.max_residual < 1e-15
         assert defect(v, CutRestricted(side, 3)) < 1e-28
-    assert not is_maximally_entangled(v, CutRestricted(cut, 2)).ok
+    with pytest.raises(ValueError, match="smaller side, 3; got d=2"):
+        CutRestricted(cut, 2)
 
 
 def test_cut_restricted_sees_only_its_cut():
@@ -204,11 +216,20 @@ def test_is_maximally_entangled_requires_unit_ket():
         schmidt_coefficients(v, cut)
 
 
+def test_is_maximally_entangled_validates_tol():
+    g = ghz3().vector
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            is_maximally_entangled(g, Strict(), tol=tol)
+
+
 def test_cut_residual_validates_predicate_and_cut_against_ket_shape():
     v = bell22()
     cut = Bipartition(v.shape, (0,))
     elsewhere = Bipartition(SystemShape((2, 3)), (0,))
-    for pred in (GhzType(3), CutRestricted(cut, 3), CutRestricted(elsewhere, 2)):
+    with pytest.raises(ValueError, match="smaller side"):
+        CutRestricted(cut, 3)
+    for pred in (GhzType(3), CutRestricted(elsewhere, 2)):
         with pytest.raises(ValueError):
             is_maximally_entangled(v, pred)
     with pytest.raises(ValueError, match="cut is over 2x3"):
@@ -222,7 +243,7 @@ def test_cut_residual_of_product_state():
     expect = {
         Strict(): 2**-0.5,
         GhzType(2): 2**-0.5,
-        CutRestricted(cut, 2): np.linalg.norm([1 - 2**-0.5, 2**-0.5]),
+        CutRestricted(cut, 2): 2**-0.5,
     }
     for pred, r in expect.items():
         ((got_cut, got),) = is_maximally_entangled(p, pred).residuals
@@ -231,24 +252,21 @@ def test_cut_residual_of_product_state():
 
 
 def _oracle_residual(amps, dims, sites, pred):
-    # the reduced state of ``sites`` by one einsum, and spectra by SVD: of
-    # rho for ghz, of the regrouped amplitudes for Schmidt coefficients
+    # the reduced state of the cut's smaller side by one einsum, and the
+    # ghz spectrum by SVD of rho
+    da = int(np.prod([dims[i] for i in sites]))
+    if da * da > amps.size:
+        sites, da = tuple(i for i in range(len(dims)) if i not in sites), amps.size // da
     t = amps.reshape(dims)
     ket = "abcd"[: len(dims)]
     bra = "".join(c.upper() if i in sites else c for i, c in enumerate(ket))
     kept = "".join(ket[i] for i in sites) + "".join(bra[i] for i in sites)
-    da = int(np.prod([dims[i] for i in sites]))
     rho = np.einsum(f"{ket},{bra}->{kept}", t, t.conj()).reshape(da, da)
-    if isinstance(pred, Strict):
+    if not isinstance(pred, GhzType):
         return np.linalg.norm(rho - np.eye(da) / da)
-    if isinstance(pred, GhzType):
-        spec, level = np.linalg.svd(rho, compute_uv=False), 1 / pred.d
-    else:
-        m = np.moveaxis(t, sites, range(len(sites))).reshape(da, -1)
-        spec, level = np.linalg.svd(m, compute_uv=False), pred.d**-0.5
-    target = np.zeros(spec.size)
-    target[: pred.d] = level
-    return np.linalg.norm(spec - target)
+    target = np.zeros(da)
+    target[: pred.d] = 1 / pred.d
+    return np.linalg.norm(np.linalg.svd(rho, compute_uv=False) - target)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -262,7 +280,7 @@ def test_residuals_match_einsum_and_svd_oracle(dims, seed):
     cuts = all_bipartitions(shape)
     # CutRestricted on either side of each cut, e.g. sites (0, 2) of 2x3x3
     flipped = [Bipartition(shape, c.other_sites) for c in cuts]
-    for pred in [Strict(), GhzType(2)] + [CutRestricted(c, 2) for c in cuts + flipped]:
+    for pred in [Strict(), GhzType(2)] + [cut_restricted(shape, c.sites) for c in cuts + flipped]:
         for cut, r in is_maximally_entangled(v, pred).residuals:
             assert abs(r - _oracle_residual(v.amps, dims, cut.sites, pred)) <= 1e-12
 
@@ -287,7 +305,7 @@ def test_defect_value_on_family_vector():
 def test_defect_is_global_phase_and_local_unitary_invariant():
     rng = np.random.default_rng(37)
     shape = SystemShape((2, 3, 3))
-    for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (1,)), 2)):
+    for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (1,)), 3)):
         for _ in range(5):
             v = random_unit_ket(shape, rng)
             base = defect(v, pred)
@@ -505,25 +523,6 @@ def test_closed_form_gradient_matches_finite_differences(frame_name):
         assert np.max(np.abs(exact - reference)) <= 1e-7
 
 
-def test_closed_form_gradient_below_the_small_side_dimension():
-    # d = 2 on a three-dimensional side: the defect is not polynomial in
-    # rho and the gradient goes through the eigenvectors of rho.  The
-    # family complements keep site 1 pure, so take a random subspace
-    rng = np.random.default_rng(103)
-    shape = SystemShape((2, 3, 3))
-    basis = random_unitary(shape.total, rng)[:6]
-    frame = orthonormal_complement([Ket(shape, row) for row in basis])
-    cut = Bipartition(shape, (1,))
-    pred = CutRestricted(cut, 2)
-    W = _unit_rows(rng, 12, 2 * len(frame))
-    for w in W:  # the spectra at these rows are well separated
-        mu = schmidt_coefficients(coords_to_ket(w, frame), cut) ** 2
-        assert np.min(-np.diff(mu)) > 1e-3
-    exact = defect_gradient(W, pred, frame)
-    reference = _central_differences(W, pred, frame)
-    assert np.max(np.abs(exact - reference)) <= 1e-7
-
-
 def test_closed_form_gradient_is_tangent_to_scale_and_phase():
     rng = np.random.default_rng(107)
     for frame in _frames().values():
@@ -535,7 +534,7 @@ def test_closed_form_gradient_is_tangent_to_scale_and_phase():
             Strict(),
             GhzType(2),
             CutRestricted(Bipartition(shape, (0,)), 2),
-            CutRestricted(Bipartition(shape, (1,)), 2),
+            CutRestricted(Bipartition(shape, (1,)), 3),
         )
         for pred in preds:
             g = defect_gradient(W, pred, frame)
@@ -548,7 +547,7 @@ def test_closed_form_gradient_spans_kernel_blocks(monkeypatch):
     blocks = _spy(monkeypatch, "_z_block")
     for frame in _frames().values():
         shape = frame[0].shape
-        for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (1,)), 2)):
+        for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (1,)), 3)):
             W = _unit_rows(rng, _SPANNING_ROWS, 2 * len(frame))
             blocks.clear()
             block = defect_gradient(W, pred, frame)
@@ -582,7 +581,7 @@ def test_pair_and_state_paths_agree(dims, monkeypatch):
         skewed = [Ket(shape, row) for row in mix @ stack_amps(frame)]
         W = _unit_rows(rng, 40, 2 * c)
         preds = [Strict(), GhzType(2)]
-        preds += [CutRestricted(Bipartition(shape, (s,)), 2) for s in range(len(dims))]
+        preds += [cut_restricted(shape, (s,)) for s in range(len(dims))]
         for fr in (frame, skewed):
             for pred in preds:
                 out, paired = {}, []
@@ -697,15 +696,10 @@ def test_closed_form_gradient_matches_finite_differences_on_random_bases(dims, d
         frame = [Ket(shape, row) for row in mix @ stack_amps(frame)]
     sites = data.draw(st.sampled_from(range(len(dims))), label="cut site")
     pred = data.draw(
-        st.sampled_from([Strict(), GhzType(2), CutRestricted(Bipartition(shape, (sites,)), 2)]),
+        st.sampled_from([Strict(), GhzType(2), cut_restricted(shape, (sites,))]),
         label="predicate",
     )
     W = _unit_rows(rng, 3, 2 * len(frame))
-    if isinstance(pred, CutRestricted):
-        cut = _small_side(pred.cut)
-        for w in W:  # finite differences need a gap at the d-th eigenvalue
-            mu = schmidt_coefficients(coords_to_ket(w, frame), cut) ** 2
-            assume(mu.size == pred.d or mu[pred.d - 1] - mu[pred.d] > 1e-3)
     exact = defect_gradient(W, pred, frame)
     reference = _central_differences(W, pred, frame)
     assert np.max(np.abs(exact - reference)) <= 1e-7
