@@ -182,12 +182,15 @@ def defect(v: Ket, pred: Predicate) -> float:
 # frame.  The objective normalizes the encoded vector, so it is invariant
 # under scaling of w and under a global phase.
 #
-# The kernel forms the reduced states of a block of rows in one of two ways
-# (see _rho_blocks and README.md) and shares the steps from rho to the
-# defect and to dF/drho.  Every per-row array keeps the row axis last and
-# contiguous, so that _mm can contract tiny matrices by broadcasting, one
-# contiguous loop over the rows per numpy call, where a stacked matmul
-# pays about half a microsecond per row.
+# The kernel reads each block of rows in one of three ways (see _rho_blocks
+# and README.md).  The quadratic defects on small complements go through
+# one real product of the real Hermitian coordinates of z z^dagger; ghz2
+# there, and every predicate on large complements, forms the reduced states
+# and shares the steps from rho to the defect and to dF/drho.  Every
+# per-row array keeps the row axis last and contiguous, so that _mm can
+# contract tiny matrices by broadcasting, one contiguous loop over the rows
+# per numpy call, where a stacked matmul pays about half a microsecond per
+# row.
 
 
 def coords_to_ket(w: np.ndarray, frame: Sequence[Ket]) -> Ket:
@@ -201,11 +204,13 @@ def coords_to_ket(w: np.ndarray, frame: Sequence[Ket]) -> Ket:
 # bounds the kernel's temporaries whatever the batch size; the largest, the
 # broadcast product m m^dagger, holds d_A times this many entries.
 _BLOCK_AMPS = 16384
-# Largest c^2 K that takes the pair path; see the crossover table in README.md.
+# Largest c^2 K that takes a pair path; see the crossover table in README.md.
 _PAIR_MAX = 4096
-# Complex entries of the widest per-row array, z (x) conj(z) or the reduced
-# states, per pair-path block.
+# Entries of the widest per-row array per pair-path block: z (x) conj(z) or
+# the reduced states, or on the packed path the c^2 coordinates.
 _PAIR_BUDGET = 32768
+# (x, y) -> (x + y, y - x), the two factors of the packed path's coordinates
+_SUM_DIFF = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,12 +270,16 @@ def defect_coords_batch(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) ->
     :func:`defect` on the coordinate encoding, one row per vector.  Rows
     are evaluated in blocks of bounded size (see :func:`_rho_blocks`), so
     the temporaries stay bounded for any batch size; every row must encode
-    a vector of norm above 1e-6.
+    a vector of norm above 1e-6.  On small complements Strict and
+    CutRestricted read the defect off one real product, ``|u|^2 / t^2``
+    with ``u`` the coordinates of ``rho~ - t I/d_A`` on every cut, so a
+    maximally entangled row reads about 1e-31, not the 1e-16 of a
+    difference of squares.
     """
     W = _coord_rows(W, frame)
     out = np.empty(W.shape[0])
-    for rows, rhos, inv, _ in _rho_blocks(W, pred, frame):
-        out[rows] = _rho_defect(rhos, pred, inv.size)
+    for rows, f in _rho_blocks(W, pred, frame, grad=False):
+        out[rows] = f
     return out
 
 
@@ -281,9 +290,13 @@ def _coord_rows(W: np.ndarray, frame: Sequence[Ket]) -> np.ndarray:
     return W
 
 
-def _z_block(W: np.ndarray, rows: slice) -> np.ndarray:
-    """The complex coordinates of ``W[rows]``, rows last: shape ``(c, rows)``."""
-    return np.ascontiguousarray(W[rows].view(np.complex128).T)
+def _z_block(W: np.ndarray, rows: slice, real: bool = False) -> np.ndarray:
+    """The complex coordinates of ``W[rows]``, rows last: shape ``(c,
+    rows)``, or with ``real`` their real and imaginary parts, ``(2, c, rows)``."""
+    w = W[rows]
+    if real:
+        return np.ascontiguousarray(w.reshape(w.shape[0], -1, 2).T)
+    return np.ascontiguousarray(w.view(np.complex128).T)
 
 
 def _inverse_norm2(vv):
@@ -293,64 +306,124 @@ def _inverse_norm2(vv):
     return 1.0 / vv
 
 
-def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]):
-    """Yield ``(rows, rhos, inv, pull)`` per kernel block of coordinate rows.
+def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool):
+    """Yield ``(rows, out)`` per kernel block of coordinate rows.
 
-    ``rows`` slices ``W``; per group of the predicate's :func:`_cut_plan`,
-    ``rhos`` holds the ``(d_A, d_A, k rows)`` states ``rho~`` of ``v = z @
-    amps`` times ``inv = 1 / |v|^2``, the inverse trace of the first cut's
-    (which holds for any frame, orthonormal or not).  ``pull`` maps one
-    :func:`_rho_gradient` ``G`` per group to ``|v|^2 / 2`` times the ``(c,
-    rows)`` gradient in ``z``, whose real and imaginary parts are the
-    gradient in ``w``.  Raises on a row encoding a near-zero vector.  The
-    pair path, taken when ``c^2 K <= _PAIR_MAX``, reads every group's
-    ``rho~`` off one product ``T^T @ (z (x) conj z)``, shape ``(K, rows)``;
-    the state path restacks the frame on every call, so that no cache pins
-    a large frame.
+    ``rows`` slices ``W``; ``out`` holds the rows' defects or, with
+    ``grad``, their ``(c, rows)`` gradient in ``z``, whose real and
+    imaginary parts are the gradient in ``w``.  Raises on a row encoding a
+    near-zero vector.  A frame with ``c^2 K <= _PAIR_MAX`` takes a pair
+    path, which never forms a state vector:
+
+    * packed (Strict, CutRestricted): one real product of the frame's
+      packed pair tensor with the coordinates of ``z z^dagger`` (see
+      :func:`_packed_block`);
+    * pair (GhzType): every group's ``rho~`` off one product ``T^T @ (z
+      (x) conj z)``, shape ``(K, rows)``.
+
+    Above that bound the state path forms ``rho~ = m m^dagger`` from the
+    rows' state vectors ``v = z @ amps``, restacking the frame on every
+    call, so that no cache pins a large frame.  The last two divide each
+    group's ``(d_A, d_A, k rows)`` stack of ``rho~`` by the trace ``|v|^2``
+    of the first cut's (which holds for any frame, orthonormal or not) and
+    share :func:`_rho_defect` and :func:`_rho_gradient`.
     """
     shape, c = frame[0].shape, len(frame)
     groups, k, trace = _cut_plan(pred, shape)
     pair = c * c * k <= _PAIR_MAX
+    packed = pair and not isinstance(pred, GhzType)
     if pair:
-        Tt, block = _pair_tensor(groups, tuple(frame)), max(1, _PAIR_BUDGET // max(c * c, k))
+        Tt, block = _pair_tensor(groups, tuple(frame), packed), max(1, _PAIR_BUDGET // max(c * c, k))
     else:
         amps, block = stack_amps(frame), max(1, _BLOCK_AMPS // shape.total)
     for start in range(0, W.shape[0], block):
         rows = slice(start, start + block)
+        if packed:
+            yield rows, _packed_block(Tt, _z_block(W, rows, real=True), grad)
+            continue
         z = _z_block(W, rows)
         n = z.shape[1]
         if pair:
             r = Tt @ (z[:, None, :] * z.conj()[None, :, :]).reshape(c * c, n)
             rhos = [r[lo:hi].reshape(da, da, -1) for _, da, _, lo, hi in groups]
-            pull = functools.partial(_pair_pull, Tt.T, z)
         else:
             ms, rhos = zip(*_group_blocks(amps.T @ z, shape, groups))
-            pull = functools.partial(_state_pull, groups, ms, amps, shape)
         inv = _inverse_norm2(rhos[0].reshape(-1, n)[trace].real.sum(axis=0))
         for rho in rhos:
             rho.reshape(-1, n)[...] *= inv
-        yield rows, rhos, inv, pull
+        if not grad:
+            yield rows, _rho_defect(rhos, pred, n)
+            continue
+        gs = [_rho_gradient(rho, pred) for rho in rhos]
+        pulled = _pair_pull(Tt.T, z, gs) if pair else _state_pull(groups, ms, amps, shape, gs)
+        yield rows, pulled * (2.0 * inv)
 
 
 @functools.lru_cache(maxsize=32)
-def _pair_tensor(groups, frame: tuple[Ket, ...]) -> np.ndarray:
-    """The transposed pair tensor ``T^T`` of a frame, C-contiguous, shape ``(K, c^2)``.
+def _pair_tensor(groups, frame: tuple[Ket, ...], packed: bool) -> np.ndarray:
+    """The pair tensor of a frame, read-only and C-contiguous.
 
-    Row ``a c + b`` of ``T`` holds ``A_a A_b^dagger`` for every cut of
-    ``groups``, in the row order of :func:`_plan`.  Cached per (groups,
-    frame): :class:`Ket` is frozen, its amplitudes are read-only and it
-    hashes by identity.
+    Without ``packed``, the complex transposed pair tensor ``T^T``, shape
+    ``(K, c^2)``: row ``a c + b`` of ``T`` holds ``A_a A_b^dagger`` for
+    every cut of ``groups``, in the row order of :func:`_plan`.  With
+    ``packed``, the real ``(K + 1, c^2)`` matrix of :func:`_packed_block`.
+    Cached per (groups, frame, packed): :class:`Ket` is frozen, its
+    amplitudes are read-only and it hashes by identity.
     """
     c = len(frame)
     blocks = _group_blocks(stack_amps(frame).T, frame[0].shape, groups)
     ms = (m.reshape(m.shape[:2] + (-1, c)) for m, _ in blocks)  # m[:, :, p, a] is A_a across cut p
     Tt = np.concatenate([np.einsum("ikpa,jkpb->ijpab", m, m.conj()).reshape(-1, c * c) for m in ms])
+    if packed:
+        # a Hermitian X has the real coordinates Re X + Im X, entry by entry:
+        # the map is linear, one to one and keeps norms, since Re X_ij Im X_ij
+        # and Re X_ji Im X_ji cancel.  Entry (a, b) of q = Re P + Im P, for P
+        # = z z^dagger, weighs (1 + i) B_ab / 2 + (1 - i) B_ba / 2 in rho~,
+        # whose coordinates then weigh Re B_ab + Im B_ba.
+        Tt = Tt.real + Tt.reshape(-1, c, c).transpose(0, 2, 1).reshape(-1, c * c).imag
+        diags = [
+            _diag(Tt[lo:hi].reshape(da, da, -1)).reshape(da, len(perms), c * c)
+            for perms, da, _, lo, hi in groups
+        ]
+        t = diags[0][:, 0].sum(axis=0)  # the first cut's trace
+        for d in diags:
+            d -= t / d.shape[0]
+        Tt = np.vstack([Tt, t])
     Tt.setflags(write=False)
     return Tt
 
 
+def _packed_block(A: np.ndarray, xy: np.ndarray, grad: bool) -> np.ndarray:
+    """Defects, or with ``grad`` the gradient in ``z``, of a block on the packed path.
+
+    ``xy`` holds the real and imaginary parts of ``z``, shape ``(2, c,
+    rows)``.  The real Hermitian coordinates ``q = Re P + Im P = (x + y)
+    x^T + (y - x) y^T`` of ``P = z z^dagger`` (see :func:`_pair_tensor`)
+    go through one product ``A q = [u; t]``: ``u`` holds the coordinates
+    of ``rho~ - t I/d_A`` on every cut and ``t = |v|^2``, so the defect is
+    ``f = |u|^2 / t^2``.  Its gradient in ``q``, ``(2 / t^2) A^T [u; -f
+    t]``, unpacked as the real ``(c, c, rows)`` stack ``h``, gives the
+    gradient ``(1 + i) h z + (1 - i) h^T z`` in ``z``.
+    """
+    _, c, n = xy.shape
+    ps = (_SUM_DIFF @ xy.reshape(2, -1)).reshape(2, c, n)
+    ut = A @ np.einsum("kan,kbn->abn", ps, xy).reshape(c * c, n)
+    inv = _inverse_norm2(ut[-1])
+    f = np.einsum("kn,kn->n", ut[:-1], ut[:-1]) * (inv * inv)
+    if not grad:
+        return f
+    ut *= inv
+    ut[-1] = -f
+    h = (A.T @ ut).reshape(c, c, n)
+    (p, s), gz = ps, np.empty((c, n), dtype=np.complex128)
+    gz.real = np.einsum("ban,bn->an", h, p) - np.einsum("abn,bn->an", h, s)  # x - y = -s
+    gz.imag = np.einsum("abn,bn->an", h, p) + np.einsum("ban,bn->an", h, s)
+    return gz * (2.0 * inv)
+
+
 def _pair_pull(T: np.ndarray, z: np.ndarray, gs) -> np.ndarray:
-    """``pull`` on the pair path.
+    """The pair path's pullback: one :func:`_rho_gradient` ``G`` per group
+    to ``|v|^2 / 2`` times the ``(c, rows)`` gradient in ``z``.
 
     With ``B_ab = A_a A_b^dagger`` (row ``a c + b`` of ``T``), ``rho~ =
     sum_ab z_a conj(z_b) B_ab`` and ``df = Re tr(G drho~) / |v|^2``
@@ -363,7 +436,7 @@ def _pair_pull(T: np.ndarray, z: np.ndarray, gs) -> np.ndarray:
 
 
 def _state_pull(groups, ms, amps: np.ndarray, shape, gs) -> np.ndarray:
-    """``pull`` on the state path.
+    """The state path's pullback, as :func:`_pair_pull`.
 
     With ``rho~ = m m^dagger``, ``df = Re tr(G drho~) / |v|^2 = Re <2 G m,
     dm> / |v|^2``; each cut's ``G m`` is added back into state-vector order
@@ -422,10 +495,11 @@ def _rho_gradient(rho: np.ndarray, pred: Predicate) -> np.ndarray:
     """``G = df/drho - Re tr(rho df/drho) I`` for a stack of reduced states,
     one cut of one row per entry of the last axis.
 
-    ``df/drho`` is Hermitian, with ``df = Re tr(df/drho drho)``.  Both
-    paths normalize, ``rho = rho~ / tr rho~``, and ``tr drho~`` is the same
-    on every cut, so ``df = sum over cuts of Re tr(G drho~) / tr rho~``:
-    subtracting the trace term is the chain rule through the normalization.
+    ``df/drho`` is Hermitian, with ``df = Re tr(df/drho drho)``.  The pair
+    and state paths normalize, ``rho = rho~ / tr rho~``, and ``tr drho~``
+    is the same on every cut, so ``df = sum over cuts of Re tr(G drho~) /
+    tr rho~``: subtracting the trace term is the chain rule through the
+    normalization.
     For GhzType, ``rho X`` is taken as ``(X rho)^dagger``, since both are
     Hermitian.
     """
@@ -447,18 +521,18 @@ def defect_gradient(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.
     """Exact gradient of the coordinate-form defect.
 
     ``W`` is one coordinate vector or an ``(m, 2c)`` block of them, each
-    encoding a unit ket within 1e-8; the result has the same shape.  Per
-    cut ``G = df/drho`` (see :func:`_rho_gradient`) is pulled back through
-    the normalization and the frame by the kernel block that formed rho
-    (see :func:`_rho_blocks`).  Radial (scale) and global-phase directions
-    carry no gradient.
+    encoding a unit ket within 1e-8; the result has the same shape.  The
+    kernel block that read the defect takes its gradient back through the
+    normalization and the frame (see :func:`_rho_blocks`): on the packed
+    path through the transposed packed tensor, elsewhere per cut from ``G =
+    df/drho`` (see :func:`_rho_gradient`).  Radial (scale) and global-phase
+    directions carry no gradient.
     """
     w = np.asarray(W, dtype=np.float64)
     W = _coord_rows(w, frame)
     if (np.abs(np.sqrt(np.einsum("ij,ij->i", W, W)) - 1.0) > 1e-8).any():
         raise ValueError("coordinate vectors must encode unit kets (norm within 1e-8 of 1)")
     grads = np.empty_like(W)
-    for rows, rhos, inv, pull in _rho_blocks(W, pred, frame):
-        gz = pull([_rho_gradient(rho, pred) for rho in rhos]) * (2.0 * inv)
+    for rows, gz in _rho_blocks(W, pred, frame, grad=True):
         grads[rows].view(np.complex128)[...] = gz.T
     return grads if w.ndim == 2 else grads[0]

@@ -1,9 +1,10 @@
 """Schmidt data, the three maximal-entanglement predicates, and the
 defect machinery the search optimizes.  Residuals, defects and gradients
-all come from one row-blocked kernel, which forms reduced states either
-from state vectors or from a frame's pair tensor; they are checked against
-einsum/SVD oracles, across kernel blocks on both paths, path against path,
-and closed-form against finite-difference gradients."""
+all come from one row-blocked kernel, which reads the quadratic defects off
+a frame's real packed pair tensor and otherwise forms reduced states, from
+the frame's complex pair tensor or from state vectors; they are checked
+against einsum/SVD oracles, across kernel blocks on every path, path
+against path, and closed-form against finite-difference gradients."""
 
 import gc
 import weakref
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umeb.constructions import ghz3, lift_umeb, umeb_2x3_type1, umeb_2x3x3_first
+from umeb.constructions import ghz3, lift_umeb, meb8, umeb_2x3_type1, umeb_2x3x3_first
 import umeb.entanglement as ent
 from umeb.entanglement import (
     CutRestricted,
@@ -383,6 +384,21 @@ def test_defect_coords_rejects_near_zero_rows():
         defect_coords_batch(W, Strict(), frame)
 
 
+def test_maximally_entangled_rows_read_zero_without_cancellation():
+    # the complement of four kets of a locally rotated meb8 holds the other
+    # four, each maximally mixed on every cut.  Their defects must sit at
+    # rounding squared (about 1e-31); a difference of squares such as
+    # ||rho||^2 - 1/d would leave rounding itself, about 1e-16
+    rng = np.random.default_rng(139)
+    ops = [random_unitary(2, rng) for _ in range(3)]
+    kets = [apply_local(ops, k) for k in meb8().kets]
+    frame = orthonormal_complement(kets[:4])
+    W = (stack_amps(kets[4:]) @ stack_amps(frame).conj().T).view(np.float64)
+    for pred in (Strict(), cut_restricted(kets[0].shape, (0,))):
+        assert _kernel_path(pred, frame) == "packed"
+        assert np.max(defect_coords_batch(W, pred, frame)) <= 1e-28
+
+
 def test_defect_coords_batch_spans_kernel_blocks(monkeypatch):
     rng = np.random.default_rng(89)
     blocks = _spy(monkeypatch, "_z_block")
@@ -478,36 +494,46 @@ def _spy(monkeypatch, name):
     """Record the arguments of every call to the kernel function ``name``."""
     calls, real = [], getattr(ent, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(ent, name, spy)
     return calls
 
 
-def _takes_pair_path(pred, frame):
-    """Whether the kernel reads the states of ``frame`` off its pair tensor."""
+def _kernel_path(pred, frame):
+    """The path the kernel takes on ``frame``: "state", or on a pair tensor
+    "packed" (the real one) or "pair" (the complex one)."""
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy(mp, "_pair_tensor")
         defect_coords_batch(np.eye(1, 2 * len(frame)), pred, frame)
-    return bool(calls)
+    return _path_of(calls)
+
+
+def _path_of(calls):
+    """The path of one kernel call, from the calls it made to ``_pair_tensor``."""
+    if not calls:
+        return "state"
+    ((_, _, packed),) = set(calls)
+    return "packed" if packed else "pair"
 
 
 def _frames():
     """One complement frame per kernel path.
 
-    Every predicate takes the pair path on the 2x3x3 family's complement
-    (c = 6).  On the 2x3x6 lift's (c = 12), strict and ghz2 take the state
-    path and a one-site cut the pair path.
+    On the 2x3x3 family's complement (c = 6) strict and every one-site cut
+    take the packed path and ghz2 the pair path.  On the 2x3x6 lift's (c =
+    12), strict and ghz2 take the state path and a one-site cut of the
+    first two sites the packed path.
     """
     frames = {
         "2x3x3": orthonormal_complement(umeb_2x3x3_first().kets),
         "2x3x6": orthonormal_complement(lift_umeb(umeb_2x3_type1(), 6).kets),
     }
     for name, frame in frames.items():
-        for pred in (Strict(), GhzType(2)):
-            assert _takes_pair_path(pred, frame) == (name == "2x3x3")
+        paths = ("packed", "pair") if name == "2x3x3" else ("state", "state")
+        assert (_kernel_path(Strict(), frame), _kernel_path(GhzType(2), frame)) == paths
     return frames
 
 
@@ -564,8 +590,11 @@ def test_closed_form_gradient_spans_kernel_blocks(monkeypatch):
         V = W.copy()
         V[-1] = 0.0
         V[-1, -4], V[-1, -2] = 2**-0.5, -(2**-0.5)
-        with pytest.raises(ValueError, match="near-zero"):
-            defect_gradient(V, Strict(), twin)
+        for pred in (Strict(), cut_restricted(shape, (0,))):
+            with pytest.raises(ValueError, match="near-zero"):
+                defect_gradient(V, pred, twin)
+            with pytest.raises(ValueError, match="near-zero"):
+                defect_coords_batch(V, pred, twin)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 3, 3), (2, 2, 2, 2)])
@@ -584,7 +613,7 @@ def test_pair_and_state_paths_agree(dims, monkeypatch):
         preds += [cut_restricted(shape, (s,)) for s in range(len(dims))]
         for fr in (frame, skewed):
             for pred in preds:
-                out, paired = {}, []
+                out, paths = {}, []
                 for crossover in (0, 10**12):  # state path, then pair path
                     monkeypatch.setattr(ent, "_PAIR_MAX", crossover)
                     before = len(pair_calls)
@@ -592,8 +621,8 @@ def test_pair_and_state_paths_agree(dims, monkeypatch):
                         defect_coords_batch(W, pred, fr),
                         defect_gradient(W, pred, fr),
                     )
-                    paired.append(len(pair_calls) > before)
-                assert paired == [False, True]
+                    paths.append(_path_of(pair_calls[before:]))
+                assert paths == ["state", "pair" if isinstance(pred, GhzType) else "packed"]
                 (v_state, g_state), (v_pair, g_pair) = out[0], out[10**12]
                 assert np.max(np.abs(v_state - v_pair)) <= 1e-13
                 assert np.max(np.abs(g_state - g_pair)) <= 1e-12
@@ -630,8 +659,10 @@ def _einsum_defect_and_gradient(w, pred, frame):
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 3), (2, 3, 6), (4, 4, 4), (8, 8)])
-def test_rows_last_kernel_matches_einsum_oracle(dims):
-    # the cuts' tiny products run from 2x2x2 to 8x8x8, on both kernel paths
+def test_rows_last_kernel_matches_einsum_oracle(dims, monkeypatch):
+    # the cuts' tiny products run from 2x2x2 to 8x8x8; every predicate is
+    # checked on the state path and on its pair path, whatever c^2 K
+    pair_calls = _spy(monkeypatch, "_pair_tensor")
     shape = SystemShape(dims)
     rng = np.random.default_rng(sum(dims) * 131)
     basis = random_unitary(shape.total, rng)[: shape.total // 2]
@@ -640,13 +671,18 @@ def test_rows_last_kernel_matches_einsum_oracle(dims):
     mix = np.eye(c) + 0.3 * (rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))
     skewed = [Ket(shape, row) for row in mix @ stack_amps(frame)]
     W = _unit_rows(rng, 3, 2 * c)
-    cut1 = CutRestricted(Bipartition(shape, (0,)), dims[0])
+    preds = [Strict(), GhzType(2)] + [cut_restricted(shape, (s,)) for s in range(len(dims))]
     for fr in (frame, skewed):
-        for pred in (Strict(), GhzType(2), cut1):
+        for pred in preds:
             oracle = [_einsum_defect_and_gradient(w, pred, fr) for w in W]
             values, grads = (np.array(col) for col in zip(*oracle))
-            assert np.max(np.abs(defect_coords_batch(W, pred, fr) - values)) <= 1e-13
-            assert np.max(np.abs(defect_gradient(W, pred, fr) - grads)) <= 1e-12
+            pair_path = "pair" if isinstance(pred, GhzType) else "packed"
+            for crossover, path in ((0, "state"), (10**12, pair_path)):
+                monkeypatch.setattr(ent, "_PAIR_MAX", crossover)
+                before = len(pair_calls)
+                assert np.max(np.abs(defect_coords_batch(W, pred, fr) - values)) <= 1e-13
+                assert np.max(np.abs(defect_gradient(W, pred, fr) - grads)) <= 1e-12
+                assert _path_of(pair_calls[before:]) == path
 
 
 def test_large_complement_takes_the_state_path_uncached(monkeypatch):
