@@ -182,11 +182,12 @@ def defect(v: Ket, pred: Predicate) -> float:
 # frame.  The objective normalizes the encoded vector, so it is invariant
 # under scaling of w and under a global phase.
 #
-# The kernel reads each block of rows in one of three ways (see _rho_blocks
-# and README.md).  The quadratic defects on small complements go through
-# one real product of the real Hermitian coordinates of z z^dagger; ghz2
-# there, and every predicate on large complements, forms the reduced states
-# and shares the steps from rho to the defect and to dF/drho.  Every
+# The kernel reads each block of rows in one of two ways (see _rho_blocks
+# and README.md).  On small complements every predicate goes through one
+# real product of the real Hermitian coordinates of z z^dagger, which the
+# quadratic defects read directly; on large ones the rows' state vectors
+# give the reduced states.  ghz2, and every predicate on the state path,
+# share the steps from rho to the defect and to dF/drho.  Every
 # per-row array keeps the row axis last and contiguous, so that _mm can
 # contract tiny matrices by broadcasting, one contiguous loop over the rows
 # per numpy call, where a stacked matmul pays about half a microsecond per
@@ -204,10 +205,10 @@ def coords_to_ket(w: np.ndarray, frame: Sequence[Ket]) -> Ket:
 # bounds the kernel's temporaries whatever the batch size; the largest, the
 # broadcast product m m^dagger, holds d_A times this many entries.
 _BLOCK_AMPS = 16384
-# Largest c^2 K that takes a pair path; see the crossover table in README.md.
-_PAIR_MAX = 4096
-# Entries of the widest per-row array per pair-path block: z (x) conj(z) or
-# the reduced states, or on the packed path the c^2 coordinates.
+# Largest c^2 K that takes the packed path; see the crossover table in README.md.
+_PAIR_MAX = 8192
+# Entries of the widest per-row array per packed-path block: the c^2
+# coordinates, or the reduced states.
 _PAIR_BUDGET = 32768
 # (x, y) -> (x + y, y - x), the two factors of the packed path's coordinates
 _SUM_DIFF = np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -239,7 +240,7 @@ def _plan(cuts: Sequence[Bipartition]):
     reduced-state dimension ``d_A`` (which fixes ``d_B``), in order of
     first appearance.  Each cut's permutation brings ``cut.sites`` to the
     front of a batch of state tensors and keeps the row axis last;
-    ``lo:hi`` are the group's rows of ``T^T`` and of the pair product, which
+    ``lo:hi`` are the group's rows of the packed pair tensor, which
     run entry-major, ``(i, j, cut)``, so that the group's states form one
     ``(d_A, d_A, k rows)`` stack, cut-major along the last axis.  ``K``
     sums ``d_A^2`` over the cuts; ``trace`` slices the rows of the first
@@ -312,42 +313,28 @@ def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool
     ``rows`` slices ``W``; ``out`` holds the rows' defects or, with
     ``grad``, their ``(c, rows)`` gradient in ``z``, whose real and
     imaginary parts are the gradient in ``w``.  Raises on a row encoding a
-    near-zero vector.  A frame with ``c^2 K <= _PAIR_MAX`` takes a pair
-    path, which never forms a state vector:
-
-    * packed (Strict, CutRestricted): one real product of the frame's
-      packed pair tensor with the coordinates of ``z z^dagger`` (see
-      :func:`_packed_block`);
-    * pair (GhzType): every group's ``rho~`` off one product ``T^T @ (z
-      (x) conj z)``, shape ``(K, rows)``.
-
+    near-zero vector.  A frame with ``c^2 K <= _PAIR_MAX`` takes the packed
+    path (see :func:`_packed_block`), which never forms a state vector.
     Above that bound the state path forms ``rho~ = m m^dagger`` from the
     rows' state vectors ``v = z @ amps``, restacking the frame on every
-    call, so that no cache pins a large frame.  The last two divide each
-    group's ``(d_A, d_A, k rows)`` stack of ``rho~`` by the trace ``|v|^2``
-    of the first cut's (which holds for any frame, orthonormal or not) and
-    share :func:`_rho_defect` and :func:`_rho_gradient`.
+    call, so that no cache pins a large frame, and divides each group's
+    ``(d_A, d_A, k rows)`` stack of ``rho~`` by the trace ``|v|^2`` of the
+    first cut's (which holds for any frame, orthonormal or not).
     """
     shape, c = frame[0].shape, len(frame)
     groups, k, trace = _cut_plan(pred, shape)
-    pair = c * c * k <= _PAIR_MAX
-    packed = pair and not isinstance(pred, GhzType)
-    if pair:
-        Tt, block = _pair_tensor(groups, tuple(frame), packed), max(1, _PAIR_BUDGET // max(c * c, k))
-    else:
-        amps, block = stack_amps(frame), max(1, _BLOCK_AMPS // shape.total)
+    if c * c * k <= _PAIR_MAX:
+        A, block = _pair_tensor(groups, tuple(frame)), max(1, _PAIR_BUDGET // max(c * c, k))
+        for start in range(0, W.shape[0], block):
+            rows = slice(start, start + block)
+            yield rows, _packed_block(A, groups, pred, _z_block(W, rows, real=True), grad)
+        return
+    amps, block = stack_amps(frame), max(1, _BLOCK_AMPS // shape.total)
     for start in range(0, W.shape[0], block):
         rows = slice(start, start + block)
-        if packed:
-            yield rows, _packed_block(Tt, _z_block(W, rows, real=True), grad)
-            continue
         z = _z_block(W, rows)
         n = z.shape[1]
-        if pair:
-            r = Tt @ (z[:, None, :] * z.conj()[None, :, :]).reshape(c * c, n)
-            rhos = [r[lo:hi].reshape(da, da, -1) for _, da, _, lo, hi in groups]
-        else:
-            ms, rhos = zip(*_group_blocks(amps.T @ z, shape, groups))
+        ms, rhos = zip(*_group_blocks(amps.T @ z, shape, groups))
         inv = _inverse_norm2(rhos[0].reshape(-1, n)[trace].real.sum(axis=0))
         for rho in rhos:
             rho.reshape(-1, n)[...] *= inv
@@ -355,65 +342,88 @@ def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool
             yield rows, _rho_defect(rhos, pred, n)
             continue
         gs = [_rho_gradient(rho, pred) for rho in rhos]
-        pulled = _pair_pull(Tt.T, z, gs) if pair else _state_pull(groups, ms, amps, shape, gs)
-        yield rows, pulled * (2.0 * inv)
+        for g, rho in zip(gs, rhos):  # the chain rule through rho = rho~ / |v|^2
+            _diag(g)[...] -= _rdot(g, rho)  # Re tr(G rho), both Hermitian
+        yield rows, _state_pull(groups, ms, amps, shape, gs) * (2.0 * inv)
 
 
 @functools.lru_cache(maxsize=32)
-def _pair_tensor(groups, frame: tuple[Ket, ...], packed: bool) -> np.ndarray:
-    """The pair tensor of a frame, read-only and C-contiguous.
+def _pair_tensor(groups, frame: tuple[Ket, ...]) -> np.ndarray:
+    """The packed pair tensor ``A`` of a frame: real, ``(K + 1, c^2)``,
+    read-only and C-contiguous.
 
-    Without ``packed``, the complex transposed pair tensor ``T^T``, shape
-    ``(K, c^2)``: row ``a c + b`` of ``T`` holds ``A_a A_b^dagger`` for
-    every cut of ``groups``, in the row order of :func:`_plan`.  With
-    ``packed``, the real ``(K + 1, c^2)`` matrix of :func:`_packed_block`.
-    Cached per (groups, frame, packed): :class:`Ket` is frozen, its
-    amplitudes are read-only and it hashes by identity.
+    Row ``(i, j, cut)``, in the row order of :func:`_plan`, maps the real
+    Hermitian coordinates ``q`` of ``P = z z^dagger`` to entry ``(i, j)``
+    of the coordinates of ``rho~ - t I/d_A`` on the cut, for ``rho~ =
+    sum_ab z_a conj(z_b) A_a A_b^dagger`` (``A_a`` frame ket ``a`` across
+    the cut); the last row gives ``t = |v|^2``.  Cached per (groups,
+    frame): :class:`Ket` is frozen and hashes by identity.
     """
     c = len(frame)
     blocks = _group_blocks(stack_amps(frame).T, frame[0].shape, groups)
     ms = (m.reshape(m.shape[:2] + (-1, c)) for m, _ in blocks)  # m[:, :, p, a] is A_a across cut p
-    Tt = np.concatenate([np.einsum("ikpa,jkpb->ijpab", m, m.conj()).reshape(-1, c * c) for m in ms])
-    if packed:
-        # a Hermitian X has the real coordinates Re X + Im X, entry by entry:
-        # the map is linear, one to one and keeps norms, since Re X_ij Im X_ij
-        # and Re X_ji Im X_ji cancel.  Entry (a, b) of q = Re P + Im P, for P
-        # = z z^dagger, weighs (1 + i) B_ab / 2 + (1 - i) B_ba / 2 in rho~,
-        # whose coordinates then weigh Re B_ab + Im B_ba.
-        Tt = Tt.real + Tt.reshape(-1, c, c).transpose(0, 2, 1).reshape(-1, c * c).imag
-        diags = [
-            _diag(Tt[lo:hi].reshape(da, da, -1)).reshape(da, len(perms), c * c)
-            for perms, da, _, lo, hi in groups
-        ]
-        t = diags[0][:, 0].sum(axis=0)  # the first cut's trace
-        for d in diags:
-            d -= t / d.shape[0]
-        Tt = np.vstack([Tt, t])
-    Tt.setflags(write=False)
-    return Tt
+    B = np.concatenate([np.einsum("ikpa,jkpb->ijpab", m, m.conj()).reshape(-1, c * c) for m in ms])
+    # a Hermitian X has the real coordinates Re X + Im X, entry by entry: the
+    # map is linear, one to one and keeps norms, since Re X_ij Im X_ij and Re
+    # X_ji Im X_ji cancel.  Entry (a, b) of q = Re P + Im P weighs (1 + i)
+    # B_ab / 2 + (1 - i) B_ba / 2 in rho~, whose coordinates then weigh Re
+    # B_ab + Im B_ba.
+    A = B.real + B.reshape(-1, c, c).transpose(0, 2, 1).reshape(-1, c * c).imag
+    diags = [
+        _diag(A[lo:hi].reshape(da, da, -1)).reshape(da, len(perms), c * c)
+        for perms, da, _, lo, hi in groups
+    ]
+    t = diags[0][:, 0].sum(axis=0)  # the first cut's trace
+    for d in diags:
+        d -= t / d.shape[0]
+    A = np.vstack([A, t])
+    A.setflags(write=False)
+    return A
 
 
-def _packed_block(A: np.ndarray, xy: np.ndarray, grad: bool) -> np.ndarray:
+def _packed_block(A: np.ndarray, groups, pred: Predicate, xy: np.ndarray, grad: bool) -> np.ndarray:
     """Defects, or with ``grad`` the gradient in ``z``, of a block on the packed path.
 
     ``xy`` holds the real and imaginary parts of ``z``, shape ``(2, c,
     rows)``.  The real Hermitian coordinates ``q = Re P + Im P = (x + y)
     x^T + (y - x) y^T`` of ``P = z z^dagger`` (see :func:`_pair_tensor`)
-    go through one product ``A q = [u; t]``: ``u`` holds the coordinates
-    of ``rho~ - t I/d_A`` on every cut and ``t = |v|^2``, so the defect is
-    ``f = |u|^2 / t^2``.  Its gradient in ``q``, ``(2 / t^2) A^T [u; -f
-    t]``, unpacked as the real ``(c, c, rows)`` stack ``h``, gives the
-    gradient ``(1 + i) h z + (1 - i) h^T z`` in ``z``.
+    go through one product ``A q = [u; t]``.  Strict and CutRestricted read
+    ``f = |u|^2 / t^2``.  GhzType unpacks each group's ``u`` rows, a ``(d_A,
+    d_A, k rows)`` stack ``Q``, into ``rho = (Q + Q^T + i (Q - Q^T)) / 2t +
+    I/d_A``, reads ``f`` by :func:`_rho_defect` and packs each
+    :func:`_rho_gradient` ``G`` back as ``(Re G + Im G) / t``, the gradient
+    in ``u``.  The gradient in ``[u; t]`` goes back through ``A^T`` to the
+    gradient in ``q``; unpacked as the real ``(c, c, rows)`` stack ``h``,
+    that gives the gradient ``(1 + i) h z + (1 - i) h^T z`` in ``z``.
     """
     _, c, n = xy.shape
     ps = (_SUM_DIFF @ xy.reshape(2, -1)).reshape(2, c, n)
     ut = A @ np.einsum("kan,kbn->abn", ps, xy).reshape(c * c, n)
     inv = _inverse_norm2(ut[-1])
-    f = np.einsum("kn,kn->n", ut[:-1], ut[:-1]) * (inv * inv)
-    if not grad:
-        return f
-    ut *= inv
-    ut[-1] = -f
+    if isinstance(pred, GhzType):
+        u, rhos = ut[:-1] * (0.5 * inv), []
+        for _, da, _, lo, hi in groups:
+            q = u[lo:hi].reshape(da, da, -1)
+            rho = np.empty(q.shape, dtype=np.complex128)
+            np.add(q, q.transpose(1, 0, 2), out=rho.real)
+            np.subtract(q, q.transpose(1, 0, 2), out=rho.imag)
+            _diag(rho)[...] += 1.0 / da
+            rhos.append(rho)
+        if not grad:
+            return _rho_defect(rhos, pred, n)
+        # ut becomes t / 2 times the gradient in [u; t]; f is homogeneous of
+        # degree 0 in [u; t], so its t part is -u/t times its u part
+        for (*_, lo, hi), rho in zip(groups, rhos):
+            g = _rho_gradient(rho, pred)
+            np.add(g.real, g.imag, out=ut[lo:hi].reshape(g.shape))
+        ut[-1] = -2.0 * np.einsum("kn,kn->n", u, ut[:-1])
+        ut *= 0.5
+    else:
+        f = np.einsum("kn,kn->n", ut[:-1], ut[:-1]) * (inv * inv)
+        if not grad:
+            return f
+        ut *= inv
+        ut[-1] = -f
     h = (A.T @ ut).reshape(c, c, n)
     (p, s), gz = ps, np.empty((c, n), dtype=np.complex128)
     gz.real = np.einsum("ban,bn->an", h, p) - np.einsum("abn,bn->an", h, s)  # x - y = -s
@@ -421,26 +431,14 @@ def _packed_block(A: np.ndarray, xy: np.ndarray, grad: bool) -> np.ndarray:
     return gz * (2.0 * inv)
 
 
-def _pair_pull(T: np.ndarray, z: np.ndarray, gs) -> np.ndarray:
-    """The pair path's pullback: one :func:`_rho_gradient` ``G`` per group
-    to ``|v|^2 / 2`` times the ``(c, rows)`` gradient in ``z``.
-
-    With ``B_ab = A_a A_b^dagger`` (row ``a c + b`` of ``T``), ``rho~ =
-    sum_ab z_a conj(z_b) B_ab`` and ``df = Re tr(G drho~) / |v|^2``
-    (``G`` is traceless against rho), so with ``Q_ab = tr(G B_ab)``, one
-    product ``T @ conj(G)``, the gradient is ``2 sum_a z_a Q_ab / |v|^2``.
-    """
-    c, n = z.shape
-    q = T @ np.concatenate([g.reshape(-1, n) for g in gs]).conj()
-    return (z[:, None, :] * q.reshape(c, c, n)).sum(axis=0)
-
-
 def _state_pull(groups, ms, amps: np.ndarray, shape, gs) -> np.ndarray:
-    """The state path's pullback, as :func:`_pair_pull`.
+    """The state path's pullback: one ``G = df/drho - Re tr(rho df/drho) I``
+    per group to ``|v|^2 / 2`` times the ``(c, rows)`` gradient in ``z``.
 
-    With ``rho~ = m m^dagger``, ``df = Re tr(G drho~) / |v|^2 = Re <2 G m,
-    dm> / |v|^2``; each cut's ``G m`` is added back into state-vector order
-    through its transposed view, then taken through ``v = z @ amps``.
+    ``tr drho~`` is the same on every cut, so with ``rho~ = m m^dagger``,
+    ``df = Re tr(G drho~) / |v|^2 = Re <2 G m, dm> / |v|^2``; each cut's
+    ``G m`` is added back into state-vector order through its transposed
+    view, then taken through ``v = z @ amps``.
     """
     n = ms[0].shape[2] // len(groups[0][0])
     h = np.zeros(shape.dims + (n,), dtype=np.complex128)
@@ -492,14 +490,9 @@ def _rho_defect(rhos, pred: Predicate, n: int) -> np.ndarray:
 
 
 def _rho_gradient(rho: np.ndarray, pred: Predicate) -> np.ndarray:
-    """``G = df/drho - Re tr(rho df/drho) I`` for a stack of reduced states,
-    one cut of one row per entry of the last axis.
+    """``G = df/drho`` for a stack of reduced states, one cut of one row per
+    entry of the last axis: Hermitian, with ``df = Re tr(G drho)``.
 
-    ``df/drho`` is Hermitian, with ``df = Re tr(df/drho drho)``.  The pair
-    and state paths normalize, ``rho = rho~ / tr rho~``, and ``tr drho~``
-    is the same on every cut, so ``df = sum over cuts of Re tr(G drho~) /
-    tr rho~``: subtracting the trace term is the chain rule through the
-    normalization.
     For GhzType, ``rho X`` is taken as ``(X rho)^dagger``, since both are
     Hermitian.
     """
@@ -513,7 +506,6 @@ def _rho_gradient(rho: np.ndarray, pred: Predicate) -> np.ndarray:
     else:  # Strict and CutRestricted: 2 (rho - I/d_A)
         g = 2.0 * rho
         _diag(g)[...] -= 2.0 / rho.shape[0]
-    _diag(g)[...] -= _rdot(g, rho)  # Re tr(G rho), both Hermitian
     return g
 
 
@@ -524,8 +516,10 @@ def defect_gradient(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.
     encoding a unit ket within 1e-8; the result has the same shape.  The
     kernel block that read the defect takes its gradient back through the
     normalization and the frame (see :func:`_rho_blocks`): on the packed
-    path through the transposed packed tensor, elsewhere per cut from ``G =
-    df/drho`` (see :func:`_rho_gradient`).  Radial (scale) and global-phase
+    path through the transposed packed tensor, on the state path through
+    the state vectors.  GhzType on either path, and every predicate on the
+    state path, start from each cut's ``G = df/drho`` (see
+    :func:`_rho_gradient`).  Radial (scale) and global-phase
     directions carry no gradient.
     """
     w = np.asarray(W, dtype=np.float64)

@@ -73,8 +73,9 @@ class SearchConfig:
             raise ValueError("restarts and max_iters must be positive")
         if not (0.0 < self.shrink < 1.0):
             raise ValueError("shrink must lie in (0, 1)")
-        if self.step <= 0.0 or self.grad_tol <= 0.0:
-            raise ValueError("step and grad_tol must be positive")
+        # NaN fails every comparison and inf bounds nothing: refuse both
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.step, self.grad_tol)):
+            raise ValueError("step and grad_tol must be finite and positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

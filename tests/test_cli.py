@@ -253,22 +253,33 @@ def test_export_matches_golden_bytes(capsys, name):
 
 
 def test_verify_matches_golden_text(tmp_path, monkeypatch, capsys):
-    # the benchmark's seed-0 exports and verify commands, with its comparison:
-    # equal text, numbers equal to 1e-12
+    # the benchmark's whole seed-0 command script, with its comparisons:
+    # exports and the overlap CSV byte for byte, verify and overlap text with
+    # numbers equal to 1e-12, and each search's JSON by check_search_json,
+    # its repeat byte for byte
     monkeypatch.syspath_prepend(str(GOLDEN.parent))
     workloads = importlib.import_module("workloads")
     monkeypatch.chdir(tmp_path)
-    verified = 0
+    ran = []
     for argv in workloads.cli_script(0):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        ran.append(argv[0])
+        golden = GOLDEN / workloads.golden_name(argv)
         if argv[0] == "export":
-            assert run(capsys, *argv)[0] == 0
+            assert (tmp_path / argv[3]).read_bytes() == golden.read_bytes(), argv
         elif argv[0] == "verify":
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            want = (GOLDEN / workloads.golden_name(argv)).read_text(encoding="utf-8")
-            assert workloads.same_text(out, want), argv
-            verified += 1
-    assert verified == 4
+            assert workloads.same_text(out, golden.read_text(encoding="utf-8")), argv
+        elif argv[0] == "overlap":
+            assert (tmp_path / "overlap.csv").read_bytes() == golden.with_suffix(".csv").read_bytes()
+            assert workloads.same_text(out, golden.with_suffix(".txt").read_text(encoding="utf-8"))
+        else:
+            first = (tmp_path / golden.name).read_bytes()
+            want = json.loads(golden.read_text(encoding="utf-8"))
+            assert workloads.check_search_json(first.decode(), want, 0) is None, argv
+            assert run(capsys, *argv)[0] == 0
+            assert (tmp_path / golden.name).read_bytes() == first, argv
+    assert sorted(ran) == sorted(["export"] * 6 + ["verify"] * 4 + ["search"] * 2 + ["overlap"])
 
 
 def test_search_json_layout_is_pinned():

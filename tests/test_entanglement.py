@@ -1,10 +1,10 @@
 """Schmidt data, the three maximal-entanglement predicates, and the
 defect machinery the search optimizes.  Residuals, defects and gradients
-all come from one row-blocked kernel, which reads the quadratic defects off
-a frame's real packed pair tensor and otherwise forms reduced states, from
-the frame's complex pair tensor or from state vectors; they are checked
-against einsum/SVD oracles, across kernel blocks on every path, path
-against path, and closed-form against finite-difference gradients."""
+all come from one row-blocked kernel, which reads every defect off a
+frame's real packed pair tensor on small complements and off state
+vectors on large ones; they are checked against einsum/SVD oracles,
+across kernel blocks on both paths, path against path, and closed-form
+against finite-difference gradients."""
 
 import gc
 import weakref
@@ -486,7 +486,7 @@ def _central_differences(W, pred, frame, step=1e-5):
 
 
 # More than twice the rows of the largest kernel block on the frames of
-# _frames() (910, on the pair path of the 2x3x3 complement)
+# _frames() (910, on the packed path of the 2x3x3 complement)
 _SPANNING_ROWS = 1827
 
 
@@ -503,8 +503,7 @@ def _spy(monkeypatch, name):
 
 
 def _kernel_path(pred, frame):
-    """The path the kernel takes on ``frame``: "state", or on a pair tensor
-    "packed" (the real one) or "pair" (the complex one)."""
+    """The path the kernel takes on ``frame``: "packed" or "state"."""
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy(mp, "_pair_tensor")
         defect_coords_batch(np.eye(1, 2 * len(frame)), pred, frame)
@@ -513,31 +512,28 @@ def _kernel_path(pred, frame):
 
 def _path_of(calls):
     """The path of one kernel call, from the calls it made to ``_pair_tensor``."""
-    if not calls:
-        return "state"
-    ((_, _, packed),) = set(calls)
-    return "packed" if packed else "pair"
+    return "packed" if calls else "state"
 
 
 def _frames():
     """One complement frame per kernel path.
 
-    On the 2x3x3 family's complement (c = 6) strict and every one-site cut
-    take the packed path and ghz2 the pair path.  On the 2x3x6 lift's (c =
-    12), strict and ghz2 take the state path and a one-site cut of the
-    first two sites the packed path.
+    On the 2x3x3 family's complement (c = 6, c^2 K = 792) every predicate
+    takes the packed path.  On the 2x3x8 lift's (c = 16, c^2 K = 12544),
+    above the crossover, strict and ghz2 take the state path and a one-site
+    cut of the first two sites the packed path.
     """
     frames = {
         "2x3x3": orthonormal_complement(umeb_2x3x3_first().kets),
-        "2x3x6": orthonormal_complement(lift_umeb(umeb_2x3_type1(), 6).kets),
+        "2x3x8": orthonormal_complement(lift_umeb(umeb_2x3_type1(), 8).kets),
     }
     for name, frame in frames.items():
-        paths = ("packed", "pair") if name == "2x3x3" else ("state", "state")
-        assert (_kernel_path(Strict(), frame), _kernel_path(GhzType(2), frame)) == paths
+        path = "packed" if name == "2x3x3" else "state"
+        assert _kernel_path(Strict(), frame) == _kernel_path(GhzType(2), frame) == path
     return frames
 
 
-@pytest.mark.parametrize("frame_name", ["2x3x3", "2x3x6"])
+@pytest.mark.parametrize("frame_name", ["2x3x3", "2x3x8"])
 def test_closed_form_gradient_matches_finite_differences(frame_name):
     rng = np.random.default_rng(101)
     frame = _frames()[frame_name]
@@ -590,7 +586,7 @@ def test_closed_form_gradient_spans_kernel_blocks(monkeypatch):
         V = W.copy()
         V[-1] = 0.0
         V[-1, -4], V[-1, -2] = 2**-0.5, -(2**-0.5)
-        for pred in (Strict(), cut_restricted(shape, (0,))):
+        for pred in (Strict(), GhzType(2), cut_restricted(shape, (0,))):
             with pytest.raises(ValueError, match="near-zero"):
                 defect_gradient(V, pred, twin)
             with pytest.raises(ValueError, match="near-zero"):
@@ -614,7 +610,7 @@ def test_pair_and_state_paths_agree(dims, monkeypatch):
         for fr in (frame, skewed):
             for pred in preds:
                 out, paths = {}, []
-                for crossover in (0, 10**12):  # state path, then pair path
+                for crossover in (0, 10**12):  # state path, then packed path
                     monkeypatch.setattr(ent, "_PAIR_MAX", crossover)
                     before = len(pair_calls)
                     out[crossover] = (
@@ -622,10 +618,10 @@ def test_pair_and_state_paths_agree(dims, monkeypatch):
                         defect_gradient(W, pred, fr),
                     )
                     paths.append(_path_of(pair_calls[before:]))
-                assert paths == ["state", "pair" if isinstance(pred, GhzType) else "packed"]
-                (v_state, g_state), (v_pair, g_pair) = out[0], out[10**12]
-                assert np.max(np.abs(v_state - v_pair)) <= 1e-13
-                assert np.max(np.abs(g_state - g_pair)) <= 1e-12
+                assert paths == ["state", "packed"]
+                (v_state, g_state), (v_packed, g_packed) = out[0], out[10**12]
+                assert np.max(np.abs(v_state - v_packed)) <= 1e-13
+                assert np.max(np.abs(g_state - g_packed)) <= 1e-12
 
 
 def _einsum_defect_and_gradient(w, pred, frame):
@@ -661,7 +657,7 @@ def _einsum_defect_and_gradient(w, pred, frame):
 @pytest.mark.parametrize("dims", [(2, 3, 3), (2, 3, 6), (4, 4, 4), (8, 8)])
 def test_rows_last_kernel_matches_einsum_oracle(dims, monkeypatch):
     # the cuts' tiny products run from 2x2x2 to 8x8x8; every predicate is
-    # checked on the state path and on its pair path, whatever c^2 K
+    # checked on the state path and on the packed path, whatever c^2 K
     pair_calls = _spy(monkeypatch, "_pair_tensor")
     shape = SystemShape(dims)
     rng = np.random.default_rng(sum(dims) * 131)
@@ -676,8 +672,7 @@ def test_rows_last_kernel_matches_einsum_oracle(dims, monkeypatch):
         for pred in preds:
             oracle = [_einsum_defect_and_gradient(w, pred, fr) for w in W]
             values, grads = (np.array(col) for col in zip(*oracle))
-            pair_path = "pair" if isinstance(pred, GhzType) else "packed"
-            for crossover, path in ((0, "state"), (10**12, pair_path)):
+            for crossover, path in ((0, "state"), (10**12, "packed")):
                 monkeypatch.setattr(ent, "_PAIR_MAX", crossover)
                 before = len(pair_calls)
                 assert np.max(np.abs(defect_coords_batch(W, pred, fr) - values)) <= 1e-13
@@ -687,7 +682,8 @@ def test_rows_last_kernel_matches_einsum_oracle(dims, monkeypatch):
 
 def test_large_complement_takes_the_state_path_uncached(monkeypatch):
     # the 1088-ket complement of the 33x33 maximally entangled ket would need
-    # a pair tensor of 1088^2 x 1089 entries (about 20 GB); the state path
+    # a packed pair tensor of 1088^2 x 1090 reals (about 10 GB, built from a
+    # complex one of about 20 GB); the state path
     # must leave nothing that keeps its 19 MB frame alive
     shape = SystemShape((33, 33))
     amps = np.zeros(shape.total)

@@ -80,6 +80,12 @@ def test_search_config_validation():
         SearchConfig(step=0.0)
     with pytest.raises(ValueError):
         SearchConfig(grad_tol=-1.0)
+    # a NaN step or grad_tol, or an infinite grad_tol, would stop every
+    # restart at its start and report a start value as the minimum
+    for field in ("step", "grad_tol"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                SearchConfig(**{field: value})
 
 
 def test_search_config_rejects_a_negative_seed():
