@@ -62,16 +62,10 @@ print(f"  witness Schmidt coefficients across the first cut: {np.round(sc, 9)}")
 # pinned at the structural value 1/4, three hundred times larger.
 rng = np.random.default_rng(2)
 shape = SystemShape((2, 3, 3))
-raw = [random_unit_ket(shape, rng) for _ in range(12)]
-frame = [raw[0]]
-for v in raw[1:]:
-    u = v.amps.copy()
-    for q in frame:
-        u -= np.vdot(q.amps, u) * q.amps
-    frame.append(Ket(shape, u / np.linalg.norm(u)))
+q, _ = np.linalg.qr(stack_amps(random_unit_ket(shape, rng) for _ in range(12)).T)
 random_basis = LabeledBasis(
     "random-12", shape, tuple(f"r{i}" for i in range(12)),
-    tuple(DecomposedVector(v) for v in frame),
+    tuple(DecomposedVector(Ket(shape, v)) for v in q.T),
 )
 res = unextendibility_search(random_basis, GhzType(2), SearchConfig(restarts=8))
 print(f"\nrandom 12-dimensional comparison set: verdict {res.verdict} "

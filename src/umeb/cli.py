@@ -410,15 +410,16 @@ def cmd_demo(args) -> int:
         ok = ok and flag
         print(("  [ok] " if flag else "  [FAIL] ") + line)
 
+    def residuals(fam: LabeledBasis, pred: Predicate) -> np.ndarray:
+        return np.array([is_maximally_entangled(k, pred).max_residual for k in fam.kets])
+
     print("== complete maximally entangled basis in 2x2x2 ==")
     m8 = meb8()
     onb = check_orthonormal(m8)
     check(onb.ok, f"meb8 orthonormal (residual {onb.residual:.3e})")
     rank, complete = check_completeness(m8)
     check(complete, f"meb8: complete (rank {rank}/8)")
-    worst = max(
-        is_maximally_entangled(k, Strict()).max_residual for k in m8.kets
-    )
+    worst = residuals(m8, Strict()).max()
     check(worst < 1e-8, f"all 8 vectors strictly maximally entangled (worst residual {worst:.3e})")
 
     print("== unextendible families in 2x3 ==")
@@ -427,6 +428,13 @@ def cmd_demo(args) -> int:
         two_three.append(fam)
         onb = check_orthonormal(fam)
         check(onb.ok, f"{fam.name} orthonormal (residual {onb.residual:.3e})")
+        worst = residuals(fam, GhzType(2)).max()
+        check(worst < 1e-8, f"{fam.name}: all 4 vectors maximally entangled (worst residual {worst:.3e})")
+        # the frame's reduced states on the qutrit sum to rank 1, so the
+        # complement is C^2 (x) w for one w and holds only product states
+        m = np.array([f.amps.reshape(2, 3) for f in fam.complement])
+        dev = np.abs(np.linalg.eigvalsh(np.einsum("kab,kac->bc", m, m.conj())) - [0, 0, 2]).max()
+        check(dev < 1e-12, f"{fam.name}: complement is C^2 x w, product states only (deviation {dev:.3e})")
         for flag in ("ghz2", "strict"):
             res = unextendibility_search(fam, predicate_from_flag(flag, fam.shape), cfg)
             check(
@@ -445,10 +453,10 @@ def cmd_demo(args) -> int:
             onb.ok and not complete,
             f"{fam.name} orthonormal, rank {rank}/18 (not complete)",
         )
-        worst = max(
-            is_maximally_entangled(k, GhzType(2)).max_residual for k in fam.kets
-        )
+        worst = residuals(fam, GhzType(2)).max()
         check(worst < 1e-8, f"{fam.name}: GHZ-type entanglement on all cuts (worst {worst:.3e})")
+        dev = np.abs(residuals(fam, Strict()) - 1.0 / math.sqrt(6.0)).max()
+        check(dev < 1e-12, f"{fam.name}: strict residual 1/sqrt(6) on every vector (deviation {dev:.3e})")
         for flag in ("ghz2", "strict"):
             res = unextendibility_search(fam, predicate_from_flag(flag, fam.shape), cfg)
             check(
@@ -471,6 +479,13 @@ def cmd_demo(args) -> int:
     check(
         abs(mag00 - 1.0 / math.sqrt(6.0)) < 1e-12,
         "overlap(phi00,psi00) equals 1/sqrt(6)",
+    )
+    gap = np.abs(rep.magnitudes[..., None] - [0.0, 1.0 / math.sqrt(12.0), 1.0 / math.sqrt(6.0)])
+    counts = (gap < 1e-12).sum(axis=(0, 1))
+    check(
+        gap.min(axis=2).max() < 1e-12 and counts.all(),
+        "cross overlaps take exactly the values 0, 1/sqrt(12), 1/sqrt(6) "
+        f"({counts[0]}, {counts[1]}, {counts[2]} of {rep.magnitudes.size} pairs)",
     )
     check(not rep.unbiased, f"not mutually unbiased (max deviation {rep.max_deviation:.6g})")
 

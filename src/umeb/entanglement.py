@@ -513,9 +513,10 @@ def defect_gradient(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.
     """Exact gradient of the coordinate-form defect.
 
     ``W`` is one coordinate vector or an ``(m, 2c)`` block of them, each
-    encoding a unit ket within 1e-8; the result has the same shape.  The
-    kernel block that read the defect takes its gradient back through the
-    normalization and the frame (see :func:`_rho_blocks`): on the packed
+    of norm above 1e-6; the result has the same shape, and a row scaled
+    by ``s`` gets its gradient divided by ``s``.  The kernel block that
+    read the defect takes its gradient back through the normalization
+    and the frame (see :func:`_rho_blocks`): on the packed
     path through the transposed packed tensor, on the state path through
     the state vectors.  GhzType on either path, and every predicate on the
     state path, start from each cut's ``G = df/drho`` (see
@@ -524,8 +525,6 @@ def defect_gradient(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.
     """
     w = np.asarray(W, dtype=np.float64)
     W = _coord_rows(w, frame)
-    if (np.abs(np.sqrt(np.einsum("ij,ij->i", W, W)) - 1.0) > 1e-8).any():
-        raise ValueError("coordinate vectors must encode unit kets (norm within 1e-8 of 1)")
     grads = np.empty_like(W)
     for rows, gz in _rho_blocks(W, pred, frame, grad=True):
         grads[rows].view(np.complex128)[...] = gz.T

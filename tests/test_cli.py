@@ -2,6 +2,7 @@
 output, and the demo run, all through ``main``."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -16,7 +17,7 @@ from umeb.cli import basis_file_text, load_basis_file, main, search_json_text
 from umeb.constructions import basis_names, meb8, named_basis, umeb_2x3_type1, umeb_2x3x3_first
 from umeb.entanglement import GhzType, Strict
 from umeb.hilbert import Ket, SystemShape
-from umeb.verify import CAVEATS, SearchConfig, UnextendibilityResult
+from umeb.verify import CAVEATS, SearchConfig, UnextendibilityResult, mub_overlap
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
@@ -227,8 +228,24 @@ def test_demo_prints_headline_facts(capsys):
     assert "meb8: complete (rank 8/8)" in out
     assert "overlap(phi00,psi00) = 0.4082482904638630" in out
     assert "me_state_found" in out
+    assert "[ok] umeb-2x3-2: all 4 vectors maximally entangled" in out
+    assert "[ok] umeb-2x3-1: complement is C^2 x w, product states only" in out
+    assert "[ok] umeb-2x3x3-2: strict residual 1/sqrt(6) on every vector" in out
+    assert "values 0, 1/sqrt(12), 1/sqrt(6) (72, 48, 24 of 144 pairs)" in out
     assert "demo: all checks passed" in out
     assert "[FAIL]" not in out
+
+
+def test_demo_failing_check_exits_two(capsys, monkeypatch):
+    def biased_as_unbiased(a, b):
+        return dataclasses.replace(mub_overlap(a, b), unbiased=True)
+
+    monkeypatch.setattr("umeb.cli.mub_overlap", biased_as_unbiased)
+    code, out, _ = run(capsys, "demo", "--restarts", "2")
+    assert code == 2
+    assert out.count("[FAIL]") == 1
+    assert "  [FAIL] not mutually unbiased" in out
+    assert out.endswith("demo: FAILURES above\n")
 
 
 def test_usage_errors_exit_one(capsys):
