@@ -171,8 +171,9 @@ def defect(v: Ket, pred: Predicate) -> float:
     path of the :func:`defect_coords_batch` kernel, as a block of one row.
     """
     _check_unit(v)
-    blocks = _group_blocks(v.amps[:, None], v.shape, _cut_plan(pred, v.shape)[0])
-    return float(_rho_defect([rho for _, rho in blocks], pred, 1)[0])
+    groups = _cut_plan(pred, v.shape)[0]
+    y = _state_coords(groups, [rho for _, rho in _group_blocks(v.amps[:, None], v.shape, groups)])
+    return float(_rho_defect(y, 1.0, groups, pred)[0])
 
 
 # --- coordinate form used by the unextendibility search ------------------
@@ -183,12 +184,12 @@ def defect(v: Ket, pred: Predicate) -> float:
 # under scaling of w and under a global phase.
 #
 # The kernel reads each block of rows in one of two ways (see _rho_blocks
-# and README.md).  On small complements every predicate goes through one
-# real product of the real Hermitian coordinates of z z^dagger, which the
-# quadratic defects read directly; on large ones the rows' state vectors
-# give the reduced states.  ghz2, and every predicate on the state path,
-# share the steps from rho to the defect and to dF/drho.  Every
-# per-row array keeps the row axis last and contiguous, so that _mm can
+# and README.md).  On small complements one real product of the real
+# Hermitian coordinates of z z^dagger gives those of Y = rho - I/d_A on
+# every cut; on large ones the rows' state vectors give the reduced states,
+# which each cut group converts to those coordinates.  Both paths share the
+# steps from Y to the defect and to dF/drho (_rho_defect, _rho_gradient).
+# Every per-row array keeps the row axis last and contiguous, so that _mm can
 # contract tiny matrices by broadcasting, one contiguous loop over the rows
 # per numpy call, where a stacked matmul pays about half a microsecond per
 # row.
@@ -208,8 +209,8 @@ _BLOCK_AMPS = 16384
 # Largest c^2 K that takes the packed path; see the crossover table in README.md.
 _PAIR_MAX = 8192
 # Entries of the widest per-row array per packed-path block: the c^2
-# coordinates, or the reduced states.
-_PAIR_BUDGET = 32768
+# coordinates, or the reduced states; see the Blocks table in README.md.
+_PAIR_BUDGET = 131072
 # (x, y) -> (x + y, y - x), the two factors of the packed path's coordinates
 _SUM_DIFF = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
@@ -311,8 +312,8 @@ def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool
     """Yield ``(rows, out)`` per kernel block of coordinate rows.
 
     ``rows`` slices ``W``; ``out`` holds the rows' defects or, with
-    ``grad``, their ``(c, rows)`` gradient in ``z``, whose real and
-    imaginary parts are the gradient in ``w``.  Raises on a row encoding a
+    ``grad``, their ``(2c, rows)`` gradient in ``w``, the real and
+    imaginary parts of the gradient in ``z``.  Raises on a row encoding a
     near-zero vector.  A frame with ``c^2 K <= _PAIR_MAX`` takes the packed
     path (see :func:`_packed_block`), which never forms a state vector.
     Above that bound the state path forms ``rho~ = m m^dagger`` from the
@@ -338,13 +339,19 @@ def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool
         inv = _inverse_norm2(rhos[0].reshape(-1, n)[trace].real.sum(axis=0))
         for rho in rhos:
             rho.reshape(-1, n)[...] *= inv
+        y = _state_coords(groups, rhos)
         if not grad:
-            yield rows, _rho_defect(rhos, pred, n)
+            yield rows, _rho_defect(y, 1.0, groups, pred)
             continue
-        gs = [_rho_gradient(rho, pred) for rho in rhos]
-        for g, rho in zip(gs, rhos):  # the chain rule through rho = rho~ / |v|^2
-            _diag(g)[...] -= _rdot(g, rho)  # Re tr(G rho), both Hermitian
-        yield rows, _state_pull(groups, ms, amps, shape, gs) * (2.0 * inv)
+        _rho_gradient(y, 1.0, groups, pred, out=y)
+        gs = []
+        for (*_, lo, hi), rho in zip(groups, rhos):  # 2G from its coordinates
+            g, gy = np.empty_like(rho), y[lo:hi].reshape(rho.shape)
+            np.add(gy, gy.transpose(1, 0, 2), out=g.real)
+            np.subtract(gy, gy.transpose(1, 0, 2), out=g.imag)
+            _diag(g)[...] -= _rdot(g, rho)  # the chain rule through rho = rho~ / |v|^2
+            gs.append(g)
+        yield rows, _state_pull(groups, ms, amps, shape, gs) * inv
 
 
 @functools.lru_cache(maxsize=32)
@@ -387,53 +394,32 @@ def _packed_block(A: np.ndarray, groups, pred: Predicate, xy: np.ndarray, grad: 
     ``xy`` holds the real and imaginary parts of ``z``, shape ``(2, c,
     rows)``.  The real Hermitian coordinates ``q = Re P + Im P = (x + y)
     x^T + (y - x) y^T`` of ``P = z z^dagger`` (see :func:`_pair_tensor`)
-    go through one product ``A q = [u; t]``.  Strict and CutRestricted read
-    ``f = |u|^2 / t^2``.  GhzType unpacks each group's ``u`` rows, a ``(d_A,
-    d_A, k rows)`` stack ``Q``, into ``rho = (Q + Q^T + i (Q - Q^T)) / 2t +
-    I/d_A``, reads ``f`` by :func:`_rho_defect` and packs each
-    :func:`_rho_gradient` ``G`` back as ``(Re G + Im G) / t``, the gradient
-    in ``u``.  The gradient in ``[u; t]`` goes back through ``A^T`` to the
-    gradient in ``q``; unpacked as the real ``(c, c, rows)`` stack ``h``,
-    that gives the gradient ``(1 + i) h z + (1 - i) h^T z`` in ``z``.
+    go through one product ``A q = [u; t]``; :func:`_rho_defect` and
+    :func:`_rho_gradient` read ``Y = rho - I/d_A`` off ``u / t``.  Each cut's
+    ``G`` has ``t`` times the gradient in ``u`` as coordinates; ``f`` does
+    not change when ``u`` and ``t`` scale together, so the gradient in ``t``
+    is ``-u/t`` times that in ``u``.  That goes back through ``A^T`` to the
+    gradient in ``q``; unpacked as the real ``(c, c, rows)`` stack ``h``, it
+    gives the gradient ``(1 + i) h z + (1 - i) h^T z`` in ``z``.
     """
     _, c, n = xy.shape
     ps = (_SUM_DIFF @ xy.reshape(2, -1)).reshape(2, c, n)
     ut = A @ np.einsum("kan,kbn->abn", ps, xy).reshape(c * c, n)
-    inv = _inverse_norm2(ut[-1])
-    if isinstance(pred, GhzType):
-        u, rhos = ut[:-1] * (0.5 * inv), []
-        for _, da, _, lo, hi in groups:
-            q = u[lo:hi].reshape(da, da, -1)
-            rho = np.empty(q.shape, dtype=np.complex128)
-            np.add(q, q.transpose(1, 0, 2), out=rho.real)
-            np.subtract(q, q.transpose(1, 0, 2), out=rho.imag)
-            _diag(rho)[...] += 1.0 / da
-            rhos.append(rho)
-        if not grad:
-            return _rho_defect(rhos, pred, n)
-        # ut becomes t / 2 times the gradient in [u; t]; f is homogeneous of
-        # degree 0 in [u; t], so its t part is -u/t times its u part
-        for (*_, lo, hi), rho in zip(groups, rhos):
-            g = _rho_gradient(rho, pred)
-            np.add(g.real, g.imag, out=ut[lo:hi].reshape(g.shape))
-        ut[-1] = -2.0 * np.einsum("kn,kn->n", u, ut[:-1])
-        ut *= 0.5
-    else:
-        f = np.einsum("kn,kn->n", ut[:-1], ut[:-1]) * (inv * inv)
-        if not grad:
-            return f
-        ut *= inv
-        ut[-1] = -f
-    h = (A.T @ ut).reshape(c, c, n)
-    (p, s), gz = ps, np.empty((c, n), dtype=np.complex128)
-    gz.real = np.einsum("ban,bn->an", h, p) - np.einsum("abn,bn->an", h, s)  # x - y = -s
-    gz.imag = np.einsum("abn,bn->an", h, p) + np.einsum("ban,bn->an", h, s)
-    return gz * (2.0 * inv)
+    u, inv = ut[:-1], _inverse_norm2(ut[-1])
+    if not grad:
+        return _rho_defect(u, inv, groups, pred)
+    gt = np.empty_like(ut)  # t times the gradient in [u; t]
+    gt[-1] = np.einsum("kn,kn->n", u, _rho_gradient(u, inv, groups, pred, out=gt[:-1])) * -inv
+    h = (A.T @ gt).reshape(c, c, n)
+    (p, s), gw = ps, np.empty((c, 2, n))
+    gw[:, 0] = np.einsum("ban,bn->an", h, p) - np.einsum("abn,bn->an", h, s)  # x - y = -s
+    gw[:, 1] = np.einsum("abn,bn->an", h, p) + np.einsum("ban,bn->an", h, s)
+    return gw.reshape(2 * c, n) * inv
 
 
 def _state_pull(groups, ms, amps: np.ndarray, shape, gs) -> np.ndarray:
-    """The state path's pullback: one ``G = df/drho - Re tr(rho df/drho) I``
-    per group to ``|v|^2 / 2`` times the ``(c, rows)`` gradient in ``z``.
+    """The state path's pullback: ``2G`` per group, ``G = df/drho - Re tr(rho
+    df/drho) I``, to ``|v|^2`` times the ``(2c, rows)`` gradient in ``w``.
 
     ``tr drho~`` is the same on every cut, so with ``rho~ = m m^dagger``,
     ``df = Re tr(G drho~) / |v|^2 = Re <2 G m, dm> / |v|^2``; each cut's
@@ -447,7 +433,7 @@ def _state_pull(groups, ms, amps: np.ndarray, shape, gs) -> np.ndarray:
         for p, perm in enumerate(perms):
             hp = np.transpose(h, perm)
             hp += gm.reshape(hp.shape[:-1] + (len(perms), n))[..., p, :]
-    return amps.conj() @ h.reshape(-1, n)
+    return (h.reshape(-1, n).T @ amps.conj().T).view(np.float64).T
 
 
 def _group_blocks(psi: np.ndarray, shape, groups):
@@ -475,38 +461,68 @@ def _reduced_state(v: Ket, cut: Bipartition) -> np.ndarray:
     return rho[..., 0]
 
 
-def _rho_defect(rhos, pred: Predicate, n: int) -> np.ndarray:
-    """Defects of ``n`` rows from each group's ``(d_A, d_A, k n)`` reduced states."""
-    out = np.zeros(n)
-    for rho in rhos:
-        if isinstance(pred, GhzType):  # X = rho^2 - rho/d
-            x = _mm(rho, rho)
-            x -= (1.0 / pred.d) * rho
-        else:  # Strict and CutRestricted: X = rho - I/d_A
-            x = rho.copy()
-            _diag(x)[...] -= 1.0 / rho.shape[0]
-        out += _rdot(x, x).reshape(-1, n).sum(axis=0)
-    return out
+def _state_coords(groups, rhos) -> np.ndarray:
+    """The ``(K, rows)`` real coordinates ``Re rho + Im rho - I/d_A`` of ``Y
+    = rho - I/d_A``, in the row order of :func:`_plan`, from each group's
+    ``(d_A, d_A, k rows)`` stack of reduced states."""
+    y = np.empty((groups[-1][4], rhos[0].shape[2] // len(groups[0][0])))
+    for (_, da, _, lo, hi), rho in zip(groups, rhos):
+        yg = np.add(rho.real, rho.imag, out=y[lo:hi].reshape(rho.shape))
+        _diag(yg)[...] -= 1.0 / da
+    return y
 
 
-def _rho_gradient(rho: np.ndarray, pred: Predicate) -> np.ndarray:
-    """``G = df/drho`` for a stack of reduced states, one cut of one row per
-    entry of the last axis: Hermitian, with ``df = Re tr(G drho)``.
+def _ghz_terms(y: np.ndarray, group, d: int):
+    """``(x, r, a)`` for GhzType(d) on one cut group, in real coordinates.
 
-    For GhzType, ``rho X`` is taken as ``(X rho)^dagger``, since both are
-    Hermitian.
+    The group's ``(d_A, d_A, k rows)`` coordinates ``Q`` of ``Y = S + iN``
+    give ``S = (Q + Q^T)/2`` and ``N = (Q - Q^T)/2``.  A product of commuting
+    Hermitian matrices, the first with coordinates ``Q``, has coordinates
+    ``[Q | Q^T] [S'; N']`` for the second ``S' + iN'``.  So ``x``, those of
+    ``X = rho^2 - rho/d = Y^2 + aY + bI`` with ``a = 2/d_A - 1/d`` and ``b =
+    1/d_A^2 - 1/(d d_A)``, is one real product with ``r = [S + aI; N]``.
     """
-    if isinstance(pred, GhzType):
-        x = _mm(rho, rho)
-        x -= (1.0 / pred.d) * rho
-        g = _mm(x, rho)
-        g += g.conj().transpose(1, 0, 2)
-        g -= (1.0 / pred.d) * x
-        g *= 2.0
-    else:  # Strict and CutRestricted: 2 (rho - I/d_A)
-        g = 2.0 * rho
-        _diag(g)[...] -= 2.0 / rho.shape[0]
-    return g
+    _, da, _, lo, hi = group
+    q = y[lo:hi].reshape(da, da, -1)
+    a, qt, r = 2.0 / da - 1.0 / d, q.transpose(1, 0, 2), np.empty((2 * da, da, q.shape[2]))
+    np.add(q, qt, out=r[:da])
+    np.subtract(q, qt, out=r[da:])
+    r *= 0.5
+    _diag(r[:da])[...] += a
+    x = np.einsum("ikn,kjn->ijn", np.concatenate([q, qt], axis=1), r)
+    _diag(x)[...] += 1.0 / da**2 - 1.0 / (d * da)
+    return x, r, a
+
+
+def _rho_defect(u: np.ndarray, inv, groups, pred: Predicate) -> np.ndarray:
+    """Defects of the rows of ``y = u * inv``, the ``(K, rows)`` coordinates
+    of ``Y = rho - I/d_A`` on every cut: ``|Y|^2`` for Strict and
+    CutRestricted, ``|X|^2`` (see :func:`_ghz_terms`) for GhzType, since the
+    coordinates keep norms.  ``inv`` is one scale per row, or 1.0."""
+    if not isinstance(pred, GhzType):
+        return np.einsum("kn,kn->n", u, u) * (inv * inv)
+    y = u * inv
+    xs = (_ghz_terms(y, group, pred.d)[0].reshape(-1, y.shape[1]) for group in groups)
+    return sum(np.einsum("kn,kn->n", x, x) for x in xs)
+
+
+def _rho_gradient(u: np.ndarray, inv, groups, pred: Predicate, out: np.ndarray) -> np.ndarray:
+    """The coordinates of ``G = df/drho`` on every cut at ``Y = u * inv`` (see
+    :func:`_rho_defect`), written into and returned as ``out`` (which may be
+    ``u``); ``df = Re tr(G drho)`` is their dot product with those of ``dY``.
+    Strict and CutRestricted: ``G = 2Y``.  GhzType: ``X`` commutes with
+    ``Y``, so ``G = 2(X rho + rho X - X/d) = 2X (2Y + aI)``, with coordinates
+    ``[x | x^T] (4r - [2aI; 0])`` (see :func:`_ghz_terms`)."""
+    if not isinstance(pred, GhzType):
+        return np.multiply(u, 2.0 * inv, out=out)
+    y = u * inv
+    for group in groups:
+        x, r, a = _ghz_terms(y, group, pred.d)
+        r *= 4.0
+        _diag(r[: x.shape[0]])[...] -= 2.0 * a
+        xx, g = np.concatenate([x, x.transpose(1, 0, 2)], axis=1), out[group[3] : group[4]]
+        np.einsum("ikn,kjn->ijn", xx, r, out=g.reshape(x.shape))
+    return out
 
 
 def defect_gradient(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.ndarray:
@@ -516,16 +532,14 @@ def defect_gradient(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.
     of norm above 1e-6; the result has the same shape, and a row scaled
     by ``s`` gets its gradient divided by ``s``.  The kernel block that
     read the defect takes its gradient back through the normalization
-    and the frame (see :func:`_rho_blocks`): on the packed
-    path through the transposed packed tensor, on the state path through
-    the state vectors.  GhzType on either path, and every predicate on the
-    state path, start from each cut's ``G = df/drho`` (see
-    :func:`_rho_gradient`).  Radial (scale) and global-phase
-    directions carry no gradient.
+    and the frame (see :func:`_rho_blocks`), from each cut's ``G =
+    df/drho`` (see :func:`_rho_gradient`): on the packed path through the
+    transposed packed tensor, on the state path through the state vectors.
+    Radial (scale) and global-phase directions carry no gradient.
     """
     w = np.asarray(W, dtype=np.float64)
     W = _coord_rows(w, frame)
     grads = np.empty_like(W)
-    for rows, gz in _rho_blocks(W, pred, frame, grad=True):
-        grads[rows].view(np.complex128)[...] = gz.T
+    for rows, gw in _rho_blocks(W, pred, frame, grad=True):
+        grads[rows] = gw.T
     return grads if w.ndim == 2 else grads[0]

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umeb.constructions import ghz3, lift_umeb, meb8, umeb_2x3_type1, umeb_2x3x3_first
+from umeb.constructions import (
+    ghz3,
+    lift_umeb,
+    meb8,
+    umeb_2x3_type1,
+    umeb_2x3x3_first,
+    umeb_2x3x3_second,
+)
 import umeb.entanglement as ent
 from umeb.entanglement import (
     CutRestricted,
@@ -397,11 +404,22 @@ def test_maximally_entangled_rows_read_zero_without_cancellation():
     for pred in (Strict(), cut_restricted(kets[0].shape, (0,))):
         assert _kernel_path(pred, frame) == "packed"
         assert np.max(defect_coords_batch(W, pred, frame)) <= 1e-28
+    # the same for GhzType(2), whose kets have rank-2 states on the two
+    # 3-dimensional cuts of 2x3x3: the complement of six family kets holds
+    # the other six.  A trace polynomial in |Y|^2 and det Y reads them at
+    # about 1e-17 of either sign
+    for fam in (umeb_2x3x3_first(), umeb_2x3x3_second()):
+        frame = orthonormal_complement(fam.kets[:6])
+        W = (stack_amps(fam.kets[6:]) @ stack_amps(frame).conj().T).view(np.float64)
+        assert _kernel_path(GhzType(2), frame) == "packed"
+        vals = defect_coords_batch(W, GhzType(2), frame)
+        assert len(vals) == 6 and np.min(vals) >= 0.0 and np.max(vals) <= 1e-28
 
 
 def test_defect_coords_batch_spans_kernel_blocks(monkeypatch):
     rng = np.random.default_rng(89)
     blocks = _spy(monkeypatch, "_z_block")
+    monkeypatch.setattr(ent, "_PAIR_BUDGET", _SPANNING_BUDGET)
     for frame in _frames().values():
         shape = frame[0].shape
         for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (0,)), 2)):
@@ -490,8 +508,10 @@ def _central_differences(W, pred, frame, step=1e-5):
     return (vals[:, :n] - vals[:, n:]) / (2.0 * step)
 
 
-# More than twice the rows of the largest kernel block on the frames of
-# _frames() (910, on the packed path of the 2x3x3 complement)
+# The packed-path block budget of the block-spanning tests, and more than
+# twice the rows of the largest kernel block on the frames of _frames()
+# under it (910, on the packed path of the 2x3x3 complement)
+_SPANNING_BUDGET = 32768
 _SPANNING_ROWS = 1827
 
 
@@ -572,6 +592,7 @@ def test_closed_form_gradient_is_tangent_to_scale_and_phase():
 def test_closed_form_gradient_spans_kernel_blocks(monkeypatch):
     rng = np.random.default_rng(109)
     blocks = _spy(monkeypatch, "_z_block")
+    monkeypatch.setattr(ent, "_PAIR_BUDGET", _SPANNING_BUDGET)
     for frame in _frames().values():
         shape = frame[0].shape
         for pred in (Strict(), GhzType(2), CutRestricted(Bipartition(shape, (1,)), 3)):
@@ -669,6 +690,9 @@ def test_rows_last_kernel_matches_einsum_oracle(dims, monkeypatch):
     skewed = [Ket(shape, row) for row in mix @ stack_amps(frame)]
     W = _unit_rows(rng, 3, 2 * c)
     preds = [Strict(), GhzType(2)] + [cut_restricted(shape, (s,)) for s in range(len(dims))]
+    if min(dims) >= 3:
+        # X = Y^2 + aY + bI, Y = rho - I/d_A, where a and b weigh d and d_A apart
+        preds.append(GhzType(3))
     for fr in (frame, skewed):
         for pred in preds:
             oracle = [_einsum_defect_and_gradient(w, pred, fr) for w in W]
