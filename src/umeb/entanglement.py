@@ -186,9 +186,9 @@ def defect(v: Ket, pred: Predicate) -> float:
 # The kernel reads each block of rows in one of two ways (see _rho_blocks
 # and README.md).  On small complements one real product of the real
 # Hermitian coordinates of z z^dagger gives those of Y = rho - I/d_A on
-# every cut; on large ones the rows' state vectors give the reduced states,
-# which each cut group converts to those coordinates.  Both paths share the
-# steps from Y to the defect and to dF/drho (_rho_defect, _rho_gradient).
+# every cut, or for GhzType those of z z^dagger in that map's row space
+# (_ghz_map); on large ones the rows' state vectors give the reduced states.
+# _rho_defect and _rho_gradient take Y to the defect and to dF/drho.
 # Every per-row array keeps the row axis last and contiguous, so that _mm can
 # contract tiny matrices by broadcasting, one contiguous loop over the rows
 # per numpy call, where a stacked matmul pays about half a microsecond per
@@ -201,15 +201,15 @@ def coords_to_ket(w: np.ndarray, frame: Sequence[Ket]) -> Ket:
     return Ket(frame[0].shape, v[:, 0] * np.sqrt(_inverse_norm2(np.vdot(v, v).real)))
 
 
-# Complex amplitudes per state-path block.  Each block of rows builds its
-# state vectors, regrouped coefficient matrices and reduced states, so this
-# bounds the kernel's temporaries whatever the batch size; the largest, the
-# broadcast product m m^dagger, holds d_A times this many entries.
+# Complex amplitudes per state-path block.  Each block builds its state
+# vectors, coefficient matrices and reduced states, so this bounds the
+# temporaries whatever the batch size (m m^dagger holds d_A times this many);
+# 32768 was no better on the lifts' ghz2, slower in one of two runs (README).
 _BLOCK_AMPS = 16384
 # Largest c^2 K that takes the packed path; see the crossover table in README.md.
 _PAIR_MAX = 8192
 # Entries of the widest per-row array per packed-path block: the c^2
-# coordinates, or the reduced states; see the Blocks table in README.md.
+# coordinates, [u; t] or ghz2's monomials; see the Blocks table in README.md.
 _PAIR_BUDGET = 131072
 # (x, y) -> (x + y, y - x), the two factors of the packed path's coordinates
 _SUM_DIFF = np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -325,10 +325,12 @@ def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool
     shape, c = frame[0].shape, len(frame)
     groups, k, trace = _cut_plan(pred, shape)
     if c * c * k <= _PAIR_MAX:
-        A, block = _pair_tensor(groups, tuple(frame)), max(1, _PAIR_BUDGET // max(c * c, k))
+        A = _pair_tensor(groups, tuple(frame))
+        quad = _ghz_map(groups, tuple(frame), pred.d) if isinstance(pred, GhzType) else None
+        block = max(1, _PAIR_BUDGET // max(c * c, k + 1, 0 if quad is None else quad[2].shape[1]))
         for start in range(0, W.shape[0], block):
             rows = slice(start, start + block)
-            yield rows, _packed_block(A, groups, pred, _z_block(W, rows, real=True), grad)
+            yield rows, _packed_block(A, quad, groups, pred, _z_block(W, rows, real=True), grad)
         return
     amps, block = stack_amps(frame), max(1, _BLOCK_AMPS // shape.total)
     for start in range(0, W.shape[0], block):
@@ -388,29 +390,68 @@ def _pair_tensor(groups, frame: tuple[Ket, ...]) -> np.ndarray:
     return A
 
 
-def _packed_block(A: np.ndarray, groups, pred: Predicate, xy: np.ndarray, grad: bool) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _ghz_map(groups, frame: tuple[Ket, ...], d: int):
+    """GhzType(d) in the row space of ``A = _pair_tensor(groups, frame)``:
+    read-only ``(V, tau, B, S, i, j)``.  ``V`` spans it by SVD, to ``A``'s
+    numerical rank ``r``, so ``v = V q`` gives ``[u; t] = U v`` with ``U = A
+    V^T``, trace row ``tau``.  With ``Y_s`` the Hermitian matrix with the
+    coordinates ``U[:, s]``, those of ``t^2 X`` (see :func:`_ghz_terms`) are
+    ``B m``, ``m = v_i v_j`` for ``i <= j``: column ``(i, j)`` of ``B`` holds
+    ``2 - delta_ij`` times those of ``J_ij = (Y_i Y_j + Y_j Y_i)/2 + a (tau_j
+    Y_i + tau_i Y_j)/2 + b tau_i tau_j I``, row ``(i, j)`` of ``S`` once."""
+    A = _pair_tensor(groups, frame)
+    sv, V = np.linalg.svd(A, full_matrices=False)[1:]
+    V = V[: np.count_nonzero(sv > sv[0] * max(A.shape) * np.finfo(float).eps)]
+    U = A @ V.T  # SVD's own U times sv reads f about 8x less exactly
+    r, tau, J = len(V), U[-1], np.empty((len(U) - 1, len(V), len(V)))
+    for _, da, _, lo, hi in groups:
+        q, a, b = U[lo:hi].reshape(da, da, -1, r), 2.0 / da - 1.0 / d, 1.0 / da**2 - 1.0 / (d * da)
+        y2 = (1 + 1j) * q + (1 - 1j) * q.transpose(1, 0, 2, 3)  # 2 Y_s on cut p from q[:, :, p, s]
+        g = np.einsum("abpi,bcpj->acpij", y2, y2) / 4  # Y_i Y_j, whose adjoint is Y_j Y_i
+        g = g.real + g.imag + (a * q + b * np.eye(da)[..., None, None] * tau)[..., None] * tau
+        J[lo:hi] = (g + g.swapaxes(3, 4)).reshape(hi - lo, r, r) / 2
+    i, j = np.triu_indices(r)
+    maps = V, tau, J[:, i, j] * np.where(i == j, 1.0, 2.0), J.reshape(-1, r * r).T.copy(), i, j
+    for m in maps:
+        m.setflags(write=False)
+    return maps
+
+
+def _packed_block(A: np.ndarray, quad, groups, pred: Predicate, xy: np.ndarray, grad: bool) -> np.ndarray:
     """Defects, or with ``grad`` the gradient in ``z``, of a block on the packed path.
 
-    ``xy`` holds the real and imaginary parts of ``z``, shape ``(2, c,
-    rows)``.  The real Hermitian coordinates ``q = Re P + Im P = (x + y)
-    x^T + (y - x) y^T`` of ``P = z z^dagger`` (see :func:`_pair_tensor`)
-    go through one product ``A q = [u; t]``; :func:`_rho_defect` and
-    :func:`_rho_gradient` read ``Y = rho - I/d_A`` off ``u / t``.  Each cut's
-    ``G`` has ``t`` times the gradient in ``u`` as coordinates; ``f`` does
-    not change when ``u`` and ``t`` scale together, so the gradient in ``t``
-    is ``-u/t`` times that in ``u``.  That goes back through ``A^T`` to the
-    gradient in ``q``; unpacked as the real ``(c, c, rows)`` stack ``h``, it
-    gives the gradient ``(1 + i) h z + (1 - i) h^T z`` in ``z``.
+    ``xy`` holds ``Re z`` and ``Im z``, ``(2, c, rows)``; ``q = (x + y) x^T
+    + (y - x) y^T`` are the coordinates of ``P = z z^dagger`` (see
+    :func:`_pair_tensor`).  Strict and CutRestricted read ``Y = u / t`` off
+    ``A q = [u; t]``; ``t`` times the gradient in ``[u; t]`` is ``[G; -u.G /
+    t]``, as ``f`` is scale-free.  GhzType reads ``f = |B m|^2 / t^4``, a sum
+    of squares, off ``v = V q`` (see :func:`_ghz_map`); ``t`` times its
+    gradient in ``v`` is ``4 S' v / t^3 - 4 f tau``, ``S'`` the ``(r, r)``
+    matrix ``S B m``.  ``A^T`` or ``V^T`` takes that to ``q``, as the real
+    ``(c, c, rows)`` stack ``h``: ``t`` times the gradient in ``z`` is then
+    ``(1 + i) h z + (1 - i) h^T z``.
     """
     _, c, n = xy.shape
     ps = (_SUM_DIFF @ xy.reshape(2, -1)).reshape(2, c, n)
-    ut = A @ np.einsum("kan,kbn->abn", ps, xy).reshape(c * c, n)
-    u, inv = ut[:-1], _inverse_norm2(ut[-1])
-    if not grad:
-        return _rho_defect(u, inv, groups, pred)
-    gt = np.empty_like(ut)  # t times the gradient in [u; t]
-    gt[-1] = np.einsum("kn,kn->n", u, _rho_gradient(u, inv, groups, pred, out=gt[:-1])) * -inv
-    h = (A.T @ gt).reshape(c, c, n)
+    q = np.einsum("kan,kbn->abn", ps, xy).reshape(c * c, n)
+    if quad is None:
+        ut = A @ q
+        u, inv = ut[:-1], _inverse_norm2(ut[-1])
+        if not grad:
+            return _rho_defect(u, inv, groups, pred)
+        gt = np.empty_like(ut)  # t times the gradient in [u; t]
+        gt[-1] = np.einsum("kn,kn->n", u, _rho_gradient(u, inv, groups, pred, out=gt[:-1])) * -inv
+        h = (A.T @ gt).reshape(c, c, n)
+    else:
+        V, tau, B, S, i, j = quad
+        v = V @ q
+        x, inv = B @ (v[i] * v[j]), _inverse_norm2(tau @ v)
+        f = np.einsum("kn,kn->n", x, x) * (inv * inv) ** 2
+        if not grad:
+            return f
+        gv = np.einsum("ijn,jn->in", (S @ x).reshape(len(v), len(v), n), v) * (4.0 * inv**3)
+        h = (V.T @ (gv - np.multiply.outer(tau, 4.0 * f))).reshape(c, c, n)  # t times the gradient in q
     (p, s), gw = ps, np.empty((c, 2, n))
     gw[:, 0] = np.einsum("ban,bn->an", h, p) - np.einsum("abn,bn->an", h, s)  # x - y = -s
     gw[:, 1] = np.einsum("abn,bn->an", h, p) + np.einsum("ban,bn->an", h, s)
@@ -498,26 +539,25 @@ def _rho_defect(u: np.ndarray, inv, groups, pred: Predicate) -> np.ndarray:
     """Defects of the rows of ``y = u * inv``, the ``(K, rows)`` coordinates
     of ``Y = rho - I/d_A`` on every cut: ``|Y|^2`` for Strict and
     CutRestricted, ``|X|^2`` (see :func:`_ghz_terms`) for GhzType, since the
-    coordinates keep norms.  ``inv`` is one scale per row, or 1.0."""
+    coordinates keep norms.  ``inv`` is one scale per row, or 1.0, which
+    GhzType needs: only the state path and :func:`defect` read it here."""
     if not isinstance(pred, GhzType):
         return np.einsum("kn,kn->n", u, u) * (inv * inv)
-    y = u * inv
-    xs = (_ghz_terms(y, group, pred.d)[0].reshape(-1, y.shape[1]) for group in groups)
+    xs = (_ghz_terms(u, group, pred.d)[0].reshape(-1, u.shape[1]) for group in groups)
     return sum(np.einsum("kn,kn->n", x, x) for x in xs)
 
 
 def _rho_gradient(u: np.ndarray, inv, groups, pred: Predicate, out: np.ndarray) -> np.ndarray:
     """The coordinates of ``G = df/drho`` on every cut at ``Y = u * inv`` (see
     :func:`_rho_defect`), written into and returned as ``out`` (which may be
-    ``u``); ``df = Re tr(G drho)`` is their dot product with those of ``dY``.
-    Strict and CutRestricted: ``G = 2Y``.  GhzType: ``X`` commutes with
-    ``Y``, so ``G = 2(X rho + rho X - X/d) = 2X (2Y + aI)``, with coordinates
-    ``[x | x^T] (4r - [2aI; 0])`` (see :func:`_ghz_terms`)."""
+    ``u``: a group reads its rows first); ``df = Re tr(G drho)`` is their
+    dot product with those of ``dY``.  Strict and CutRestricted: ``G = 2Y``.
+    GhzType: ``X`` commutes with ``Y``, so ``G = 2(X rho + rho X - X/d) =
+    2X (2Y + aI)``, with coordinates ``[x | x^T] (4r - [2aI; 0])``."""
     if not isinstance(pred, GhzType):
         return np.multiply(u, 2.0 * inv, out=out)
-    y = u * inv
     for group in groups:
-        x, r, a = _ghz_terms(y, group, pred.d)
+        x, r, a = _ghz_terms(u, group, pred.d)
         r *= 4.0
         _diag(r[: x.shape[0]])[...] -= 2.0 * a
         xx, g = np.concatenate([x, x.transpose(1, 0, 2)], axis=1), out[group[3] : group[4]]

@@ -19,6 +19,7 @@ from umeb.constructions import (
     lift_umeb,
     meb8,
     umeb_2x3_type1,
+    umeb_2x3_type2,
     umeb_2x3x3_first,
     umeb_2x3x3_second,
 )
@@ -391,7 +392,7 @@ def test_defect_coords_rejects_near_zero_rows():
         defect_coords_batch(W, Strict(), frame)
 
 
-def test_maximally_entangled_rows_read_zero_without_cancellation():
+def test_maximally_entangled_rows_read_zero_without_cancellation(monkeypatch):
     # the complement of four kets of a locally rotated meb8 holds the other
     # four, each maximally mixed on every cut.  Their defects must sit at
     # rounding squared (about 1e-31); a difference of squares such as
@@ -414,6 +415,22 @@ def test_maximally_entangled_rows_read_zero_without_cancellation():
         assert _kernel_path(GhzType(2), frame) == "packed"
         vals = defect_coords_batch(W, GhzType(2), frame)
         assert len(vals) == 6 and np.min(vals) >= 0.0 and np.max(vals) <= 1e-28
+    # and on a truncated row space: the complement of the first half of the
+    # 2x3x6 lift's kets holds the other half, and its packed pair tensor has
+    # rank 32 of 50 rows.  The packed path reads GhzType off its row-space
+    # map alone, the state path through _ghz_terms
+    kets = lift_umeb(umeb_2x3_type1(), 6).kets
+    frame = orthonormal_complement(kets[:12])
+    W = (stack_amps(kets[12:]) @ stack_amps(frame).conj().T).view(np.float64)
+    terms = _spy(monkeypatch, "_ghz_terms")
+    monkeypatch.setattr(ent, "_PAIR_MAX", 10**12)
+    assert _kernel_path(GhzType(2), frame) == "packed" and _ghz_rank(frame) == 32
+    vals = defect_coords_batch(W, GhzType(2), frame)
+    assert len(vals) == 12 and np.min(vals) >= 0.0 and np.max(vals) <= 1e-28
+    assert not terms
+    monkeypatch.setattr(ent, "_PAIR_MAX", 0)
+    defect_coords_batch(W, GhzType(2), frame)
+    assert terms
 
 
 def test_defect_coords_batch_spans_kernel_blocks(monkeypatch):
@@ -540,6 +557,12 @@ def _path_of(calls):
     return "packed" if calls else "state"
 
 
+def _ghz_rank(frame):
+    """The rank of the packed pair tensor the GhzType(2) kernel found."""
+    groups = ent._cut_plan(GhzType(2), frame[0].shape)[0]
+    return len(ent._ghz_map(groups, tuple(frame), 2)[0])
+
+
 def _frames():
     """One complement frame per kernel path.
 
@@ -631,19 +654,36 @@ def test_pair_and_state_paths_agree(dims, monkeypatch):
         preds += [cut_restricted(shape, (s,)) for s in range(len(dims))]
         for fr in (frame, skewed):
             for pred in preds:
-                out, paths = {}, []
-                for crossover in (0, 10**12):  # state path, then packed path
-                    monkeypatch.setattr(ent, "_PAIR_MAX", crossover)
-                    before = len(pair_calls)
-                    out[crossover] = (
-                        defect_coords_batch(W, pred, fr),
-                        defect_gradient(W, pred, fr),
-                    )
-                    paths.append(_path_of(pair_calls[before:]))
-                assert paths == ["state", "packed"]
-                (v_state, g_state), (v_packed, g_packed) = out[0], out[10**12]
-                assert np.max(np.abs(v_state - v_packed)) <= 1e-13
-                assert np.max(np.abs(g_state - g_packed)) <= 1e-12
+                _assert_paths_agree(W, pred, fr, monkeypatch, pair_calls)
+
+
+@pytest.mark.parametrize("d3, rank", [(3, 12), (4, 19), (5, 28), (6, 4), (7, 4), (8, 4)])
+def test_pair_and_state_paths_agree_on_low_rank_lifts(d3, rank, monkeypatch):
+    # the random frames above give nearly full-rank pair tensors; the lifts'
+    # complements give a rank far below the K + 1 rows (4 of 50 from d3 = 6
+    # on), so GhzType(2) runs on a truncated row space
+    pair_calls = _spy(monkeypatch, "_pair_tensor")
+    rng = np.random.default_rng(d3 * 137)
+    for fam in (umeb_2x3_type1(), umeb_2x3_type2()):
+        frame = orthonormal_complement(lift_umeb(fam, d3).kets)
+        assert _ghz_rank(frame) == rank
+        W = _unit_rows(rng, 40, 2 * len(frame))
+        _assert_paths_agree(W, GhzType(2), frame, monkeypatch, pair_calls)
+
+
+def _assert_paths_agree(W, pred, frame, monkeypatch, pair_calls):
+    """Values within 1e-13 and gradients within 1e-12 on the state path and
+    on the packed path, each forced through ``_PAIR_MAX``."""
+    out, paths = {}, []
+    for crossover in (0, 10**12):  # state path, then packed path
+        monkeypatch.setattr(ent, "_PAIR_MAX", crossover)
+        before = len(pair_calls)
+        out[crossover] = (defect_coords_batch(W, pred, frame), defect_gradient(W, pred, frame))
+        paths.append(_path_of(pair_calls[before:]))
+    assert paths == ["state", "packed"]
+    (v_state, g_state), (v_packed, g_packed) = out[0], out[10**12]
+    assert np.max(np.abs(v_state - v_packed)) <= 1e-13
+    assert np.max(np.abs(g_state - g_packed)) <= 1e-12
 
 
 def _einsum_defect_and_gradient(w, pred, frame):
