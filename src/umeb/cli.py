@@ -561,6 +561,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # the last resort for an input too large to hold
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

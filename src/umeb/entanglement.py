@@ -173,7 +173,7 @@ def defect(v: Ket, pred: Predicate) -> float:
     _check_unit(v)
     groups = _cut_plan(pred, v.shape)[0]
     y = _state_coords(groups, [rho for _, rho in _group_blocks(v.amps[:, None], v.shape, groups)])
-    return float(_rho_defect(y, 1.0, groups, pred)[0])
+    return float(_rho_defect(y, groups, pred)[0])
 
 
 # --- coordinate form used by the unextendibility search ------------------
@@ -184,11 +184,11 @@ def defect(v: Ket, pred: Predicate) -> float:
 # under scaling of w and under a global phase.
 #
 # The kernel reads each block of rows in one of two ways (see _rho_blocks
-# and README.md).  On small complements one real product of the real
-# Hermitian coordinates of z z^dagger gives those of Y = rho - I/d_A on
-# every cut, or for GhzType those of z z^dagger in that map's row space
-# (_ghz_map); on large ones the rows' state vectors give the reduced states.
-# _rho_defect and _rho_gradient take Y to the defect and to dF/drho.
+# and README.md).  On small complements one real product L q, of the real
+# Hermitian coordinates q of z z^dagger, reads every predicate in the packed
+# pair tensor's row space (_row_space).  On large ones the rows' state
+# vectors give the reduced states, and _rho_defect and _rho_gradient take
+# their Y = rho - I/d_A to the defect and to dF/drho.
 # Every per-row array keeps the row axis last and contiguous, so that _mm can
 # contract tiny matrices by broadcasting, one contiguous loop over the rows
 # per numpy call, where a stacked matmul pays about half a microsecond per
@@ -209,9 +209,9 @@ _BLOCK_AMPS = 16384
 # Largest c^2 K that takes the packed path; see the crossover table in README.md.
 _PAIR_MAX = 8192
 # Entries of the widest per-row array per packed-path block: the c^2
-# coordinates, [u; t] or ghz2's monomials; see the Blocks table in README.md.
+# coordinates, the K + 1 rows of A or ghz2's monomials; see README.md.
 _PAIR_BUDGET = 131072
-# (x, y) -> (x + y, y - x), the two factors of the packed path's coordinates
+# (a, b) -> (a + b, b - a), the two factors of the packed path's coordinates
 _SUM_DIFF = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
@@ -273,10 +273,10 @@ def defect_coords_batch(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) ->
     are evaluated in blocks of bounded size (see :func:`_rho_blocks`), so
     the temporaries stay bounded for any batch size; every row must encode
     a vector of norm above 1e-6.  On small complements Strict and
-    CutRestricted read the defect off one real product, ``|u|^2 / t^2``
-    with ``u`` the coordinates of ``rho~ - t I/d_A`` on every cut, so a
-    maximally entangled row reads about 1e-31, not the 1e-16 of a
-    difference of squares.
+    CutRestricted read the defect off one real product, ``|w|^2 / t^2``
+    with ``|w| = |u|`` for ``u`` the coordinates of ``rho~ - t I/d_A`` on
+    every cut, so a maximally entangled row reads about 1e-31, not the
+    1e-16 of a difference of squares.
     """
     W = _coord_rows(W, frame)
     out = np.empty(W.shape[0])
@@ -325,12 +325,11 @@ def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool
     shape, c = frame[0].shape, len(frame)
     groups, k, trace = _cut_plan(pred, shape)
     if c * c * k <= _PAIR_MAX:
-        A = _pair_tensor(groups, tuple(frame))
-        quad = _ghz_map(groups, tuple(frame), pred.d) if isinstance(pred, GhzType) else None
-        block = max(1, _PAIR_BUDGET // max(c * c, k + 1, 0 if quad is None else quad[2].shape[1]))
+        space = _row_space(groups, tuple(frame), pred.d if isinstance(pred, GhzType) else None)
+        block = max(1, _PAIR_BUDGET // max(c * c, k + 1, space[1].shape[1] if len(space) > 1 else 0))
         for start in range(0, W.shape[0], block):
             rows = slice(start, start + block)
-            yield rows, _packed_block(A, quad, groups, pred, _z_block(W, rows, real=True), grad)
+            yield rows, _packed_block(space, _z_block(W, rows, real=True), grad)
         return
     amps, block = stack_amps(frame), max(1, _BLOCK_AMPS // shape.total)
     for start in range(0, W.shape[0], block):
@@ -343,9 +342,9 @@ def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool
             rho.reshape(-1, n)[...] *= inv
         y = _state_coords(groups, rhos)
         if not grad:
-            yield rows, _rho_defect(y, 1.0, groups, pred)
+            yield rows, _rho_defect(y, groups, pred)
             continue
-        _rho_gradient(y, 1.0, groups, pred, out=y)
+        _rho_gradient(y, groups, pred, out=y)
         gs = []
         for (*_, lo, hi), rho in zip(groups, rhos):  # 2G from its coordinates
             g, gy = np.empty_like(rho), y[lo:hi].reshape(rho.shape)
@@ -356,18 +355,14 @@ def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool
         yield rows, _state_pull(groups, ms, amps, shape, gs) * inv
 
 
-@functools.lru_cache(maxsize=32)
 def _pair_tensor(groups, frame: tuple[Ket, ...]) -> np.ndarray:
-    """The packed pair tensor ``A`` of a frame: real, ``(K + 1, c^2)``,
-    read-only and C-contiguous.
-
-    Row ``(i, j, cut)``, in the row order of :func:`_plan`, maps the real
-    Hermitian coordinates ``q`` of ``P = z z^dagger`` to entry ``(i, j)``
-    of the coordinates of ``rho~ - t I/d_A`` on the cut, for ``rho~ =
-    sum_ab z_a conj(z_b) A_a A_b^dagger`` (``A_a`` frame ket ``a`` across
-    the cut); the last row gives ``t = |v|^2``.  Cached per (groups,
-    frame): :class:`Ket` is frozen and hashes by identity.
-    """
+    """The packed pair tensor ``A`` of a frame, real, ``(K + 1, c^2)``, built
+    per cache entry of :func:`_row_space`.  Row ``(i, j, cut)``, in the row
+    order of :func:`_plan`, maps the real Hermitian coordinates ``q`` of ``P
+    = z z^dagger`` to entry ``(i, j)`` of the coordinates of ``rho~ - t
+    I/d_A`` on the cut, for ``rho~ = sum_ab z_a conj(z_b) A_a A_b^dagger``
+    (``A_a`` frame ket ``a`` across the cut); the last row gives ``t =
+    |v|^2``."""
     c = len(frame)
     blocks = _group_blocks(stack_amps(frame).T, frame[0].shape, groups)
     ms = (m.reshape(m.shape[:2] + (-1, c)) for m, _ in blocks)  # m[:, :, p, a] is A_a across cut p
@@ -385,77 +380,79 @@ def _pair_tensor(groups, frame: tuple[Ket, ...]) -> np.ndarray:
     t = diags[0][:, 0].sum(axis=0)  # the first cut's trace
     for d in diags:
         d -= t / d.shape[0]
-    A = np.vstack([A, t])
-    A.setflags(write=False)
-    return A
+    return np.vstack([A, t])
 
 
 @functools.lru_cache(maxsize=32)
-def _ghz_map(groups, frame: tuple[Ket, ...], d: int):
-    """GhzType(d) in the row space of ``A = _pair_tensor(groups, frame)``:
-    read-only ``(V, tau, B, S, i, j)``.  ``V`` spans it by SVD, to ``A``'s
-    numerical rank ``r``, so ``v = V q`` gives ``[u; t] = U v`` with ``U = A
-    V^T``, trace row ``tau``.  With ``Y_s`` the Hermitian matrix with the
-    coordinates ``U[:, s]``, those of ``t^2 X`` (see :func:`_ghz_terms`) are
-    ``B m``, ``m = v_i v_j`` for ``i <= j``: column ``(i, j)`` of ``B`` holds
-    ``2 - delta_ij`` times those of ``J_ij = (Y_i Y_j + Y_j Y_i)/2 + a (tau_j
-    Y_i + tau_i Y_j)/2 + b tau_i tau_j I``, row ``(i, j)`` of ``S`` once."""
+def _row_space(groups, frame: tuple[Ket, ...], d):
+    """Read-only ``(L,)`` for Strict and CutRestricted (``d`` None), ``(L, B, S,
+    i, j)`` for GhzType(d), in the row space of ``A = _pair_tensor(groups,
+    frame)``.  ``V`` spans it by SVD, to ``A``'s numerical rank ``r``, so ``v
+    = V q`` gives ``[u; t] = U v`` with ``U = A V^T``, trace row ``tau``.  ``L
+    q = [w; t]``: ``L = [R V; tau V]``, ``R`` the triangular factor of
+    ``U[:-1]``, so ``|w| = |u|``; for GhzType ``L = [V; tau V]``, and with
+    ``Y_s`` the Hermitian matrix with the coordinates ``U[:, s]``, those of
+    ``t^2 X`` (see :func:`_ghz_terms`) are ``B m``, ``m = w_i w_j`` for ``i
+    <= j``: column ``(i, j)`` of ``B`` holds ``2 - delta_ij`` times those of
+    ``J_ij = (Y_i Y_j + Y_j Y_i)/2 + a (tau_j Y_i + tau_i Y_j)/2 + b tau_i
+    tau_j I``, row ``(i, j)`` of ``S`` once.  Cached per (groups, frame,
+    d): :class:`Ket` is frozen and hashes by identity."""
     A = _pair_tensor(groups, frame)
     sv, V = np.linalg.svd(A, full_matrices=False)[1:]
     V = V[: np.count_nonzero(sv > sv[0] * max(A.shape) * np.finfo(float).eps)]
     U = A @ V.T  # SVD's own U times sv reads f about 8x less exactly
-    r, tau, J = len(V), U[-1], np.empty((len(U) - 1, len(V), len(V)))
-    for _, da, _, lo, hi in groups:
-        q, a, b = U[lo:hi].reshape(da, da, -1, r), 2.0 / da - 1.0 / d, 1.0 / da**2 - 1.0 / (d * da)
-        y2 = (1 + 1j) * q + (1 - 1j) * q.transpose(1, 0, 2, 3)  # 2 Y_s on cut p from q[:, :, p, s]
-        g = np.einsum("abpi,bcpj->acpij", y2, y2) / 4  # Y_i Y_j, whose adjoint is Y_j Y_i
-        g = g.real + g.imag + (a * q + b * np.eye(da)[..., None, None] * tau)[..., None] * tau
-        J[lo:hi] = (g + g.swapaxes(3, 4)).reshape(hi - lo, r, r) / 2
-    i, j = np.triu_indices(r)
-    maps = V, tau, J[:, i, j] * np.where(i == j, 1.0, 2.0), J.reshape(-1, r * r).T.copy(), i, j
+    r, tau = len(V), U[-1]
+    maps = [np.vstack([np.linalg.qr(U[:-1], mode="r") @ V if d is None else V, tau @ V])]
+    if d is not None:
+        J = np.empty((len(U) - 1, r, r))
+        for _, da, _, lo, hi in groups:
+            q, a, b = U[lo:hi].reshape(da, da, -1, r), 2.0 / da - 1.0 / d, 1.0 / da**2 - 1.0 / (d * da)
+            y2 = (1 + 1j) * q + (1 - 1j) * q.transpose(1, 0, 2, 3)  # 2 Y_s on cut p from q[:, :, p, s]
+            g = np.einsum("abpi,bcpj->acpij", y2, y2) / 4  # Y_i Y_j, whose adjoint is Y_j Y_i
+            g = g.real + g.imag + (a * q + b * np.eye(da)[..., None, None] * tau)[..., None] * tau
+            J[lo:hi] = (g + g.swapaxes(3, 4)).reshape(hi - lo, r, r) / 2
+        i, j = np.triu_indices(r)
+        maps += [J[:, i, j] * np.where(i == j, 1.0, 2.0), J.reshape(-1, r * r).T.copy(), i, j]
     for m in maps:
         m.setflags(write=False)
-    return maps
+    return tuple(maps)
 
 
-def _packed_block(A: np.ndarray, quad, groups, pred: Predicate, xy: np.ndarray, grad: bool) -> np.ndarray:
-    """Defects, or with ``grad`` the gradient in ``z``, of a block on the packed path.
+def _packed_block(space, ab: np.ndarray, grad: bool) -> np.ndarray:
+    """Defects, or with ``grad`` the gradient in ``z``, of a block on the
+    packed path, from a frame's :func:`_row_space` ``space``.
 
-    ``xy`` holds ``Re z`` and ``Im z``, ``(2, c, rows)``; ``q = (x + y) x^T
-    + (y - x) y^T`` are the coordinates of ``P = z z^dagger`` (see
-    :func:`_pair_tensor`).  Strict and CutRestricted read ``Y = u / t`` off
-    ``A q = [u; t]``; ``t`` times the gradient in ``[u; t]`` is ``[G; -u.G /
-    t]``, as ``f`` is scale-free.  GhzType reads ``f = |B m|^2 / t^4``, a sum
-    of squares, off ``v = V q`` (see :func:`_ghz_map`); ``t`` times its
-    gradient in ``v`` is ``4 S' v / t^3 - 4 f tau``, ``S'`` the ``(r, r)``
-    matrix ``S B m``.  ``A^T`` or ``V^T`` takes that to ``q``, as the real
-    ``(c, c, rows)`` stack ``h``: ``t`` times the gradient in ``z`` is then
+    ``ab`` holds ``a = Re z`` and ``b = Im z``, ``(2, c, rows)``, and ``q =
+    (a + b) a^T + (b - a) b^T`` the coordinates of ``P = z z^dagger`` (see
+    :func:`_pair_tensor`).  Every predicate reads ``f = |x|^2 / t^(2p)``, a
+    sum of squares, off one product ``L q = [w; t]``: ``x = w`` and ``p =
+    1``, or for GhzType ``x = B m`` and ``p = 2``.  The gradient in ``[w;
+    t]``, ``[2 x.dx / t^(2p); -2p f / t]`` with ``x.dx = w``, or ``2 S' w``
+    for ``S'`` the ``(r, r)`` matrix ``S x``, goes through ``L^T`` to ``q``,
+    the real ``(c, c, rows)`` stack ``h``; the gradient in ``z`` is then
     ``(1 + i) h z + (1 - i) h^T z``.
     """
-    _, c, n = xy.shape
-    ps = (_SUM_DIFF @ xy.reshape(2, -1)).reshape(2, c, n)
-    q = np.einsum("kan,kbn->abn", ps, xy).reshape(c * c, n)
-    if quad is None:
-        ut = A @ q
-        u, inv = ut[:-1], _inverse_norm2(ut[-1])
-        if not grad:
-            return _rho_defect(u, inv, groups, pred)
-        gt = np.empty_like(ut)  # t times the gradient in [u; t]
-        gt[-1] = np.einsum("kn,kn->n", u, _rho_gradient(u, inv, groups, pred, out=gt[:-1])) * -inv
-        h = (A.T @ gt).reshape(c, c, n)
-    else:
-        V, tau, B, S, i, j = quad
-        v = V @ q
-        x, inv = B @ (v[i] * v[j]), _inverse_norm2(tau @ v)
-        f = np.einsum("kn,kn->n", x, x) * (inv * inv) ** 2
-        if not grad:
-            return f
-        gv = np.einsum("ijn,jn->in", (S @ x).reshape(len(v), len(v), n), v) * (4.0 * inv**3)
-        h = (V.T @ (gv - np.multiply.outer(tau, 4.0 * f))).reshape(c, c, n)  # t times the gradient in q
-    (p, s), gw = ps, np.empty((c, 2, n))
-    gw[:, 0] = np.einsum("ban,bn->an", h, p) - np.einsum("abn,bn->an", h, s)  # x - y = -s
-    gw[:, 1] = np.einsum("abn,bn->an", h, p) + np.einsum("ban,bn->an", h, s)
-    return gw.reshape(2 * c, n) * inv
+    L, *ghz = space
+    _, c, n = ab.shape
+    ps = (_SUM_DIFF @ ab.reshape(2, -1)).reshape(2, c, n)
+    q = np.einsum("kan,kbn->abn", ps, ab).reshape(c * c, n)
+    wt = L @ q
+    w, inv = wt[:-1], _inverse_norm2(wt[-1])
+    if ghz:  # GhzType: x = B m and p = 2
+        B, S, i, j = ghz
+        x, p, scale = B @ (w[i] * w[j]), 2, (inv * inv) ** 2
+    else:  # Strict and CutRestricted: x = w and p = 1
+        x, p, scale = w, 1, inv * inv
+    f = np.einsum("kn,kn->n", x, x) * scale  # |x|^2 / t^(2p)
+    if not grad:
+        return f
+    xdx = 2.0 * np.einsum("ijn,jn->in", (S @ x).reshape(len(w), len(w), n), w) if ghz else w
+    gt = np.concatenate([xdx * (2.0 * scale), (f * (-2.0 * p * inv))[None]])  # the gradient in [w; t]
+    h = (L.T @ gt).reshape(c, c, n)  # the gradient in q
+    (plus, minus), gw = ps, np.empty((c, 2, n))
+    gw[:, 0] = np.einsum("ban,bn->an", h, plus) - np.einsum("abn,bn->an", h, minus)  # a - b = -minus
+    gw[:, 1] = np.einsum("abn,bn->an", h, plus) + np.einsum("ban,bn->an", h, minus)
+    return gw.reshape(2 * c, n)
 
 
 def _state_pull(groups, ms, amps: np.ndarray, shape, gs) -> np.ndarray:
@@ -535,29 +532,28 @@ def _ghz_terms(y: np.ndarray, group, d: int):
     return x, r, a
 
 
-def _rho_defect(u: np.ndarray, inv, groups, pred: Predicate) -> np.ndarray:
-    """Defects of the rows of ``y = u * inv``, the ``(K, rows)`` coordinates
-    of ``Y = rho - I/d_A`` on every cut: ``|Y|^2`` for Strict and
-    CutRestricted, ``|X|^2`` (see :func:`_ghz_terms`) for GhzType, since the
-    coordinates keep norms.  ``inv`` is one scale per row, or 1.0, which
-    GhzType needs: only the state path and :func:`defect` read it here."""
+def _rho_defect(y: np.ndarray, groups, pred: Predicate) -> np.ndarray:
+    """Defects of the rows of ``y``, the ``(K, rows)`` coordinates of ``Y =
+    rho - I/d_A`` on every cut, which only the state path forms: ``|Y|^2``
+    for Strict and CutRestricted, ``|X|^2`` (see :func:`_ghz_terms`) for
+    GhzType, since the coordinates keep norms."""
     if not isinstance(pred, GhzType):
-        return np.einsum("kn,kn->n", u, u) * (inv * inv)
-    xs = (_ghz_terms(u, group, pred.d)[0].reshape(-1, u.shape[1]) for group in groups)
+        return np.einsum("kn,kn->n", y, y)
+    xs = (_ghz_terms(y, group, pred.d)[0].reshape(-1, y.shape[1]) for group in groups)
     return sum(np.einsum("kn,kn->n", x, x) for x in xs)
 
 
-def _rho_gradient(u: np.ndarray, inv, groups, pred: Predicate, out: np.ndarray) -> np.ndarray:
-    """The coordinates of ``G = df/drho`` on every cut at ``Y = u * inv`` (see
+def _rho_gradient(y: np.ndarray, groups, pred: Predicate, out: np.ndarray) -> np.ndarray:
+    """The coordinates of ``G = df/drho`` on every cut at ``Y`` (see
     :func:`_rho_defect`), written into and returned as ``out`` (which may be
-    ``u``: a group reads its rows first); ``df = Re tr(G drho)`` is their
+    ``y``: a group reads its rows first); ``df = Re tr(G drho)`` is their
     dot product with those of ``dY``.  Strict and CutRestricted: ``G = 2Y``.
     GhzType: ``X`` commutes with ``Y``, so ``G = 2(X rho + rho X - X/d) =
     2X (2Y + aI)``, with coordinates ``[x | x^T] (4r - [2aI; 0])``."""
     if not isinstance(pred, GhzType):
-        return np.multiply(u, 2.0 * inv, out=out)
+        return np.multiply(y, 2.0, out=out)
     for group in groups:
-        x, r, a = _ghz_terms(u, group, pred.d)
+        x, r, a = _ghz_terms(y, group, pred.d)
         r *= 4.0
         _diag(r[: x.shape[0]])[...] -= 2.0 * a
         xx, g = np.concatenate([x, x.transpose(1, 0, 2)], axis=1), out[group[3] : group[4]]
@@ -572,9 +568,9 @@ def defect_gradient(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.
     of norm above 1e-6; the result has the same shape, and a row scaled
     by ``s`` gets its gradient divided by ``s``.  The kernel block that
     read the defect takes its gradient back through the normalization
-    and the frame (see :func:`_rho_blocks`), from each cut's ``G =
-    df/drho`` (see :func:`_rho_gradient`): on the packed path through the
-    transposed packed tensor, on the state path through the state vectors.
+    and the frame (see :func:`_rho_blocks`): on the packed path through
+    ``L^T`` (see :func:`_packed_block`), on the state path from each cut's
+    ``G = df/drho`` (see :func:`_rho_gradient`) through the state vectors.
     Radial (scale) and global-phase directions carry no gradient.
     """
     w = np.asarray(W, dtype=np.float64)

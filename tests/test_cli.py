@@ -126,6 +126,27 @@ def test_verify_non_orthonormal_file_fails(tmp_path, capsys):
     assert "  search: skipped (vectors are linearly dependent)\n" in out
 
 
+def test_out_of_memory_exits_one_with_a_message(capsys, monkeypatch):
+    # a complement too large to hold ends in MemoryError inside numpy; main
+    # turns it into exit 1 and one line on stderr, not a traceback
+    def exhausted(message):
+        def build(kets):
+            raise MemoryError(message)
+
+        return build
+
+    cases = (
+        ("Unable to allocate 1.49 GiB", "error: out of memory: Unable to allocate 1.49 GiB\n"),
+        ("", "error: out of memory\n"),
+    )
+    for message, line in cases:
+        monkeypatch.setattr("umeb.constructions.orthonormal_complement", exhausted(message))
+        for command in ("verify", "search"):
+            code, _, err = run(capsys, command, "umeb-2x3-1", "--restarts", "1")
+            assert code == 1
+            assert err == line
+
+
 def test_search_json_is_byte_identical_across_runs(tmp_path, capsys):
     src = tmp_path / "fam.json"
     run(capsys, "export", "umeb-2x3x3-1", "-o", str(src))

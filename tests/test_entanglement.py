@@ -417,20 +417,27 @@ def test_maximally_entangled_rows_read_zero_without_cancellation(monkeypatch):
         assert len(vals) == 6 and np.min(vals) >= 0.0 and np.max(vals) <= 1e-28
     # and on a truncated row space: the complement of the first half of the
     # 2x3x6 lift's kets holds the other half, and its packed pair tensor has
-    # rank 32 of 50 rows.  The packed path reads GhzType off its row-space
-    # map alone, the state path through _ghz_terms
+    # rank 32 of 50 rows for GhzType(2) and 4 of 5 for the cut of site 0.
+    # The packed path reads every predicate off its row-space map alone, the
+    # state path through the coordinates of Y
     kets = lift_umeb(umeb_2x3_type1(), 6).kets
     frame = orthonormal_complement(kets[:12])
     W = (stack_amps(kets[12:]) @ stack_amps(frame).conj().T).view(np.float64)
-    terms = _spy(monkeypatch, "_ghz_terms")
+    helpers = [_spy(monkeypatch, name) for name in ("_rho_defect", "_rho_gradient", "_ghz_terms")]
     monkeypatch.setattr(ent, "_PAIR_MAX", 10**12)
-    assert _kernel_path(GhzType(2), frame) == "packed" and _ghz_rank(frame) == 32
-    vals = defect_coords_batch(W, GhzType(2), frame)
-    assert len(vals) == 12 and np.min(vals) >= 0.0 and np.max(vals) <= 1e-28
-    assert not terms
+    preds = [(GhzType(2), 32), (cut_restricted(kets[0].shape, (0,)), 4)]
+    for pred, rank in preds:
+        assert _kernel_path(pred, frame) == "packed" and _row_rank(frame, pred) == rank
+        vals = defect_coords_batch(W, pred, frame)
+        assert len(vals) == 12 and np.min(vals) >= 0.0 and np.max(vals) <= 1e-28
+    for pred in (Strict(), GhzType(2), cut_restricted(kets[0].shape, (0,))):
+        defect_coords_batch(W, pred, frame)
+        defect_gradient(W, pred, frame)
+    assert not any(helpers)
     monkeypatch.setattr(ent, "_PAIR_MAX", 0)
     defect_coords_batch(W, GhzType(2), frame)
-    assert terms
+    defect_gradient(W, GhzType(2), frame)
+    assert all(helpers)
 
 
 def test_defect_coords_batch_spans_kernel_blocks(monkeypatch):
@@ -547,20 +554,22 @@ def _spy(monkeypatch, name):
 def _kernel_path(pred, frame):
     """The path the kernel takes on ``frame``: "packed" or "state"."""
     with pytest.MonkeyPatch.context() as mp:
-        calls = _spy(mp, "_pair_tensor")
+        calls = _spy(mp, "_row_space")
         defect_coords_batch(np.eye(1, 2 * len(frame)), pred, frame)
     return _path_of(calls)
 
 
 def _path_of(calls):
-    """The path of one kernel call, from the calls it made to ``_pair_tensor``."""
+    """The path of one kernel call, from the calls it made to ``_row_space``."""
     return "packed" if calls else "state"
 
 
-def _ghz_rank(frame):
-    """The rank of the packed pair tensor the GhzType(2) kernel found."""
-    groups = ent._cut_plan(GhzType(2), frame[0].shape)[0]
-    return len(ent._ghz_map(groups, tuple(frame), 2)[0])
+def _row_rank(frame, pred):
+    """The rank of the packed pair tensor the kernel found for ``pred``: the
+    rows of its row-space map ``L`` but the trace row."""
+    groups = ent._cut_plan(pred, frame[0].shape)[0]
+    d = pred.d if isinstance(pred, GhzType) else None
+    return len(ent._row_space(groups, tuple(frame), d)[0]) - 1
 
 
 def _frames():
@@ -640,7 +649,7 @@ def test_closed_form_gradient_spans_kernel_blocks(monkeypatch):
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 3, 3), (2, 2, 2, 2)])
 def test_pair_and_state_paths_agree(dims, monkeypatch):
-    pair_calls = _spy(monkeypatch, "_pair_tensor")
+    pair_calls = _spy(monkeypatch, "_row_space")
     shape = SystemShape(dims)
     rng = np.random.default_rng(sum(dims) * 113)
     for kept in sorted({1, shape.total // 2, shape.total - 2}):
@@ -661,14 +670,24 @@ def test_pair_and_state_paths_agree(dims, monkeypatch):
 def test_pair_and_state_paths_agree_on_low_rank_lifts(d3, rank, monkeypatch):
     # the random frames above give nearly full-rank pair tensors; the lifts'
     # complements give a rank far below the K + 1 rows (4 of 50 from d3 = 6
-    # on), so GhzType(2) runs on a truncated row space
-    pair_calls = _spy(monkeypatch, "_pair_tensor")
+    # on), so every predicate runs on a truncated row space.  Strict reads
+    # the cuts GhzType(2) reads; the one-site cut of site 0 has rank 4 of 5,
+    # and that of site 1, whose reduced state is pure, rank 1 of 10
+    pair_calls = _spy(monkeypatch, "_row_space")
     rng = np.random.default_rng(d3 * 137)
     for fam in (umeb_2x3_type1(), umeb_2x3_type2()):
         frame = orthonormal_complement(lift_umeb(fam, d3).kets)
-        assert _ghz_rank(frame) == rank
+        shape = frame[0].shape
         W = _unit_rows(rng, 40, 2 * len(frame))
-        _assert_paths_agree(W, GhzType(2), frame, monkeypatch, pair_calls)
+        ranks = [
+            (GhzType(2), rank),
+            (Strict(), rank),
+            (CutRestricted(Bipartition(shape, (0,)), 2), 4),
+            (CutRestricted(Bipartition(shape, (1,)), 3), 1),
+        ]
+        for pred, r in ranks:
+            assert _row_rank(frame, pred) == r
+            _assert_paths_agree(W, pred, frame, monkeypatch, pair_calls)
 
 
 def _assert_paths_agree(W, pred, frame, monkeypatch, pair_calls):
@@ -720,7 +739,7 @@ def _einsum_defect_and_gradient(w, pred, frame):
 def test_rows_last_kernel_matches_einsum_oracle(dims, monkeypatch):
     # the cuts' tiny products run from 2x2x2 to 8x8x8; every predicate is
     # checked on the state path and on the packed path, whatever c^2 K
-    pair_calls = _spy(monkeypatch, "_pair_tensor")
+    pair_calls = _spy(monkeypatch, "_row_space")
     shape = SystemShape(dims)
     rng = np.random.default_rng(sum(dims) * 131)
     basis = random_unitary(shape.total, rng)[: shape.total // 2]
@@ -759,7 +778,7 @@ def test_large_complement_takes_the_state_path_uncached(monkeypatch):
     W = _unit_rows(rng, 3, 2 * len(frame))
     d = _unit_rows(rng, 1, 2 * len(frame))[0]
     h = 1e-6
-    pair_calls = _spy(monkeypatch, "_pair_tensor")
+    pair_calls = _spy(monkeypatch, "_row_space")
     for pred in (Strict(), GhzType(2)):
         vals = defect_coords_batch(W, pred, frame)
         for w, v in zip(W, vals):
