@@ -186,9 +186,12 @@ def defect(v: Ket, pred: Predicate) -> float:
 # The kernel reads each block of rows in one of two ways (see _rho_blocks
 # and README.md).  On small complements one real product L q, of the real
 # Hermitian coordinates q of z z^dagger, reads every predicate in the packed
-# pair tensor's row space (_row_space).  On large ones the rows' state
-# vectors give the reduced states, and _rho_defect and _rho_gradient take
-# their Y = rho - I/d_A to the defect and to dF/drho.
+# pair tensor's row space (_row_space).  An L with fewer rows than the frame
+# has kets contracts with the frame's parts Re z and Im z instead and never
+# forms the c^2 entries of q (_frame_route); any other forms q
+# (_pair_route).  On large complements the rows' state vectors give the
+# reduced states, and _rho_defect and _rho_gradient take their Y = rho -
+# I/d_A to the defect and to dF/drho.
 # Every per-row array keeps the row axis last and contiguous, so that _mm can
 # contract tiny matrices by broadcasting, one contiguous loop over the rows
 # per numpy call, where a stacked matmul pays about half a microsecond per
@@ -209,7 +212,8 @@ _BLOCK_AMPS = 16384
 # Largest c^2 K that takes the packed path; see the crossover table in README.md.
 _PAIR_MAX = 8192
 # Entries of the widest per-row array per packed-path block: the c^2
-# coordinates, the K + 1 rows of A or ghz2's monomials; see README.md.
+# coordinates, the K + 1 rows of A, ghz2's monomials or, on the frame
+# route, the 2 R c entries of L's R rows times Re z and Im z; see README.md.
 _PAIR_BUDGET = 131072
 # (a, b) -> (a + b, b - a), the two factors of the packed path's coordinates
 _SUM_DIFF = np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -326,7 +330,8 @@ def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool
     groups, k, trace = _cut_plan(pred, shape)
     if c * c * k <= _PAIR_MAX:
         space = _row_space(groups, tuple(frame), pred.d if isinstance(pred, GhzType) else None)
-        block = max(1, _PAIR_BUDGET // max(c * c, k + 1, space[1].shape[1] if len(space) > 1 else 0))
+        R, monomials = len(space[0]), space[1].shape[1] if len(space) > 1 else 0
+        block = max(1, _PAIR_BUDGET // max(c * c, k + 1, 2 * R * c if R < c else 0, monomials))
         for start in range(0, W.shape[0], block):
             rows = slice(start, start + block)
             yield rows, _packed_block(space, _z_block(W, rows, real=True), grad)
@@ -395,11 +400,14 @@ def _row_space(groups, frame: tuple[Ket, ...], d):
     ``t^2 X`` (see :func:`_ghz_terms`) are ``B m``, ``m = w_i w_j`` for ``i
     <= j``: column ``(i, j)`` of ``B`` holds ``2 - delta_ij`` times those of
     ``J_ij = (Y_i Y_j + Y_j Y_i)/2 + a (tau_j Y_i + tau_i Y_j)/2 + b tau_i
-    tau_j I``, row ``(i, j)`` of ``S`` once.  Cached per (groups, frame,
-    d): :class:`Ket` is frozen and hashes by identity."""
+    tau_j I``, row ``(i, j)`` of ``S`` once.  One more SVD keeps ``B`` at
+    its own numerical rank: ``B`` becomes ``Ub^T B`` and ``S`` becomes ``S
+    Ub``, for ``Ub`` the kept left singular vectors, which keeps ``|B m|``
+    and ``S x``.  Cached per (groups, frame, d): :class:`Ket` is frozen and
+    hashes by identity."""
     A = _pair_tensor(groups, frame)
     sv, V = np.linalg.svd(A, full_matrices=False)[1:]
-    V = V[: np.count_nonzero(sv > sv[0] * max(A.shape) * np.finfo(float).eps)]
+    V = V[: _numerical_rank(sv, A.shape)]
     U = A @ V.T  # SVD's own U times sv reads f about 8x less exactly
     r, tau = len(V), U[-1]
     maps = [np.vstack([np.linalg.qr(U[:-1], mode="r") @ V if d is None else V, tau @ V])]
@@ -412,10 +420,19 @@ def _row_space(groups, frame: tuple[Ket, ...], d):
             g = g.real + g.imag + (a * q + b * np.eye(da)[..., None, None] * tau)[..., None] * tau
             J[lo:hi] = (g + g.swapaxes(3, 4)).reshape(hi - lo, r, r) / 2
         i, j = np.triu_indices(r)
-        maps += [J[:, i, j] * np.where(i == j, 1.0, 2.0), J.reshape(-1, r * r).T.copy(), i, j]
+        B = J[:, i, j] * np.where(i == j, 1.0, 2.0)
+        Ub, sb, _ = np.linalg.svd(B, full_matrices=False)
+        Ub = Ub[:, : _numerical_rank(sb, B.shape)]  # |Ub^T B m| = |B m|, and B m = Ub Ub^T B m
+        maps += [Ub.T @ B, J.reshape(-1, r * r).T @ Ub, i, j]
     for m in maps:
         m.setflags(write=False)
     return tuple(maps)
+
+
+def _numerical_rank(sv: np.ndarray, shape) -> int:
+    """How many of the descending singular values ``sv`` of a matrix of
+    ``shape`` exceed ``sv[0] max(shape) eps``: the rank a row space keeps."""
+    return int(np.count_nonzero(sv > sv[0] * max(shape) * np.finfo(float).eps))
 
 
 def _packed_block(space, ab: np.ndarray, grad: bool) -> np.ndarray:
@@ -427,16 +444,17 @@ def _packed_block(space, ab: np.ndarray, grad: bool) -> np.ndarray:
     :func:`_pair_tensor`).  Every predicate reads ``f = |x|^2 / t^(2p)``, a
     sum of squares, off one product ``L q = [w; t]``: ``x = w`` and ``p =
     1``, or for GhzType ``x = B m`` and ``p = 2``.  The gradient in ``[w;
-    t]``, ``[2 x.dx / t^(2p); -2p f / t]`` with ``x.dx = w``, or ``2 S' w``
-    for ``S'`` the ``(r, r)`` matrix ``S x``, goes through ``L^T`` to ``q``,
-    the real ``(c, c, rows)`` stack ``h``; the gradient in ``z`` is then
-    ``(1 + i) h z + (1 - i) h^T z``.
+    t]`` is ``[2 x.dx / t^(2p); -2p f / t]`` with ``x.dx = w``, or ``2 S'
+    w`` for ``S'`` the ``(r, r)`` matrix ``S x``.  An ``L`` with fewer rows
+    than the frame has kets takes the frame route (:func:`_frame_route`),
+    which never forms ``q``; any other the pair route
+    (:func:`_pair_route`).  Each returns ``[w; t]`` and the pullback of a
+    gradient in ``[w; t]`` to ``w``.
     """
     L, *ghz = space
     _, c, n = ab.shape
     ps = (_SUM_DIFF @ ab.reshape(2, -1)).reshape(2, c, n)
-    q = np.einsum("kan,kbn->abn", ps, ab).reshape(c * c, n)
-    wt = L @ q
+    wt, pull = (_frame_route if len(L) < c else _pair_route)(L, ab, ps)
     w, inv = wt[:-1], _inverse_norm2(wt[-1])
     if ghz:  # GhzType: x = B m and p = 2
         B, S, i, j = ghz
@@ -447,12 +465,47 @@ def _packed_block(space, ab: np.ndarray, grad: bool) -> np.ndarray:
     if not grad:
         return f
     xdx = 2.0 * np.einsum("ijn,jn->in", (S @ x).reshape(len(w), len(w), n), w) if ghz else w
-    gt = np.concatenate([xdx * (2.0 * scale), (f * (-2.0 * p * inv))[None]])  # the gradient in [w; t]
-    h = (L.T @ gt).reshape(c, c, n)  # the gradient in q
-    (plus, minus), gw = ps, np.empty((c, 2, n))
-    gw[:, 0] = np.einsum("ban,bn->an", h, plus) - np.einsum("abn,bn->an", h, minus)  # a - b = -minus
-    gw[:, 1] = np.einsum("abn,bn->an", h, plus) + np.einsum("ban,bn->an", h, minus)
-    return gw.reshape(2 * c, n)
+    return pull(np.concatenate([xdx * (2.0 * scale), (f * (-2.0 * p * inv))[None]]))
+
+
+def _pair_route(L, ab: np.ndarray, ps: np.ndarray):
+    """``[w; t] = L q`` through the ``c^2`` coordinates ``q`` of ``P``, and
+    the pullback of ``g``, the gradient in ``[w; t]``: ``L^T g`` is the
+    gradient in ``q``, the real ``(c, c, rows)`` stack ``h``, and the
+    gradient in ``z`` is ``(1 + i) h z + (1 - i) h^T z``."""
+    _, c, n = ab.shape
+    q = np.einsum("kan,kbn->abn", ps, ab).reshape(c * c, n)
+
+    def pull(g):
+        h = (L.T @ g).reshape(c, c, n)
+        (plus, minus), gw = ps, np.empty((c, 2, n))
+        gw[:, 0] = np.einsum("ban,bn->an", h, plus) - np.einsum("abn,bn->an", h, minus)  # a - b = -minus
+        gw[:, 1] = np.einsum("abn,bn->an", h, plus) + np.einsum("ban,bn->an", h, minus)
+        return gw.reshape(2 * c, n)
+
+    return L @ q, pull
+
+
+def _frame_route(L, ab: np.ndarray, ps: np.ndarray):
+    """``[w; t] = L q`` without ``q``, for an ``L`` of ``R < c`` rows, and
+    the pullback of ``g``, the gradient in ``[w; t]``.
+
+    With ``L3 = L.reshape(R, c, c)``, ``q = sum_k ps[k] ab[k]^T`` gives
+    ``[w; t]_r = sum_k sum_a ps[k, a] T_k[r, a]`` for ``T_k = L3 ab[k]``,
+    ``R c`` entries per row and part where ``q`` has ``c^2``.  Back,
+    ``g.T_k`` is the gradient in ``ps[k]``, which ``_SUM_DIFF^T`` takes to
+    ``ab``, and ``g.U_k``, ``U_k = L3^T ps[k]``, that in ``ab[k]`` itself.
+    """
+    R, (_, c, n) = len(L), ab.shape
+    T = (L.reshape(R * c, c) @ ab).reshape(2, R, c, n)
+
+    def pull(g):
+        U = (L.reshape(R, c, c).transpose(0, 2, 1).reshape(R * c, c) @ ps).reshape(2, R, c, n)
+        dps = np.einsum("rn,kran->kan", g, T)
+        dab = (_SUM_DIFF.T @ dps.reshape(2, -1)).reshape(2, c, n) + np.einsum("rn,kran->kan", g, U)
+        return dab.transpose(1, 0, 2).reshape(2 * c, n)
+
+    return np.einsum("kan,kran->rn", ps, T), pull
 
 
 def _state_pull(groups, ms, amps: np.ndarray, shape, gs) -> np.ndarray:

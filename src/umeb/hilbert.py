@@ -20,6 +20,9 @@ import numpy as np
 
 #: Numerical rank / linear-independence tolerance.
 RANK_TOL = 1e-10
+#: Largest estimated size, in bytes, of a complement's complete QR factor
+#: plus its frame kets; a larger complement is refused before allocating.
+COMPLEMENT_MAX_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -202,13 +205,20 @@ def orthonormal_complement(vs: Sequence[Ket]) -> list[Ket]:
     len(vs)`` columns of Q are the complement.  A linearly dependent list
     is an error, read from R: ``|R_jj|`` is the distance of ``v_j`` from
     the span of the kets before it, and must exceed ``RANK_TOL *
-    max(1, |v_j|)``.
+    max(1, |v_j|)``.  A complement whose Q and frame kets would take more
+    than ``COMPLEMENT_MAX_BYTES`` is refused before either is allocated.
     """
     if not vs:
         raise ValueError("complement of an empty list; pass the spanning kets")
     shape = vs[0].shape
     if any(v.shape != shape for v in vs):
         raise ValueError("kets must share one shape")
+    need = 16 * shape.total * (2 * shape.total - len(vs))  # complex Q and the frame kets
+    if need > COMPLEMENT_MAX_BYTES:
+        raise ValueError(
+            f"the complement of {len(vs)} kets in {shape} needs about {need} bytes "
+            f"for its QR and frame, above the limit of {COMPLEMENT_MAX_BYTES}"
+        )
     cols = stack_amps(vs).T + 0.0  # -0.0 becomes 0.0; its sign would flip reflections
     q, r = np.linalg.qr(cols, mode="complete")
     resid = np.abs(np.diagonal(r))

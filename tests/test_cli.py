@@ -147,6 +147,25 @@ def test_out_of_memory_exits_one_with_a_message(capsys, monkeypatch):
             assert err == line
 
 
+def test_oversized_complement_exits_one_before_allocating(tmp_path, capsys, monkeypatch):
+    # one ket in 12x12 leaves a complement of 143 kets: a complete 144 x 144
+    # Q plus the frame, 16 * 144 * (2 * 144 - 1) bytes.  Under a lower limit
+    # the complement is refused with that estimate, before its QR runs
+    path = tmp_path / "one.json"
+    ket = [[1.0, 0.0]] + [[0.0, 0.0]] * 143
+    path.write_text(json.dumps({"name": "one", "shape": [12, 12], "vectors": [ket]}))
+    monkeypatch.setattr("umeb.hilbert.COMPLEMENT_MAX_BYTES", 2**16)
+    monkeypatch.setattr("numpy.linalg.qr", None)  # a QR would raise TypeError, not exit 1
+    line = (
+        f"error: the complement of 1 kets in 12x12 needs about {16 * 144 * 287} bytes "
+        "for its QR and frame, above the limit of 65536\n"
+    )
+    for command in ("verify", "search"):
+        code, _, err = run(capsys, command, str(path), "--restarts", "1")
+        assert code == 1
+        assert err == line
+
+
 def test_search_json_is_byte_identical_across_runs(tmp_path, capsys):
     src = tmp_path / "fam.json"
     run(capsys, "export", "umeb-2x3x3-1", "-o", str(src))

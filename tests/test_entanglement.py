@@ -3,8 +3,9 @@ defect machinery the search optimizes.  Residuals, defects and gradients
 all come from one row-blocked kernel, which reads every defect off a
 frame's real packed pair tensor on small complements and off state
 vectors on large ones; they are checked against einsum/SVD oracles,
-across kernel blocks on both paths, path against path, and closed-form
-against finite-difference gradients."""
+across kernel blocks on both paths, path against path, the packed path's
+two routes against each other, and closed-form against finite-difference
+gradients."""
 
 import gc
 import weakref
@@ -402,9 +403,10 @@ def test_maximally_entangled_rows_read_zero_without_cancellation(monkeypatch):
     kets = [apply_local(ops, k) for k in meb8().kets]
     frame = orthonormal_complement(kets[:4])
     W = (stack_amps(kets[4:]) @ stack_amps(frame).conj().T).view(np.float64)
-    for pred in (Strict(), cut_restricted(kets[0].shape, (0,))):
-        assert _kernel_path(pred, frame) == "packed"
-        assert np.max(defect_coords_batch(W, pred, frame)) <= 1e-28
+    for pred, route in ((Strict(), "pair"), (cut_restricted(kets[0].shape, (0,)), "frame")):
+        assert _kernel_path(pred, frame) == "packed" and _route(pred, frame) == route
+        vals = defect_coords_batch(W, pred, frame)
+        assert np.min(vals) >= 0.0 and np.max(vals) <= 1e-28
     # the same for GhzType(2), whose kets have rank-2 states on the two
     # 3-dimensional cuts of 2x3x3: the complement of six family kets holds
     # the other six.  A trace polynomial in |Y|^2 and det Y reads them at
@@ -412,22 +414,24 @@ def test_maximally_entangled_rows_read_zero_without_cancellation(monkeypatch):
     for fam in (umeb_2x3x3_first(), umeb_2x3x3_second()):
         frame = orthonormal_complement(fam.kets[:6])
         W = (stack_amps(fam.kets[6:]) @ stack_amps(frame).conj().T).view(np.float64)
-        assert _kernel_path(GhzType(2), frame) == "packed"
+        assert _kernel_path(GhzType(2), frame) == "packed" and _route(GhzType(2), frame) == "pair"
         vals = defect_coords_batch(W, GhzType(2), frame)
         assert len(vals) == 6 and np.min(vals) >= 0.0 and np.max(vals) <= 1e-28
     # and on a truncated row space: the complement of the first half of the
     # 2x3x6 lift's kets holds the other half, and its packed pair tensor has
     # rank 32 of 50 rows for GhzType(2) and 4 of 5 for the cut of site 0.
     # The packed path reads every predicate off its row-space map alone, the
-    # state path through the coordinates of Y
+    # state path through the coordinates of Y.  With c = 24 kets, GhzType(2)
+    # takes the pair route and the cut of site 0 the frame route
     kets = lift_umeb(umeb_2x3_type1(), 6).kets
     frame = orthonormal_complement(kets[:12])
     W = (stack_amps(kets[12:]) @ stack_amps(frame).conj().T).view(np.float64)
     helpers = [_spy(monkeypatch, name) for name in ("_rho_defect", "_rho_gradient", "_ghz_terms")]
     monkeypatch.setattr(ent, "_PAIR_MAX", 10**12)
-    preds = [(GhzType(2), 32), (cut_restricted(kets[0].shape, (0,)), 4)]
-    for pred, rank in preds:
+    preds = [(GhzType(2), 32, "pair"), (cut_restricted(kets[0].shape, (0,)), 4, "frame")]
+    for pred, rank, route in preds:
         assert _kernel_path(pred, frame) == "packed" and _row_rank(frame, pred) == rank
+        assert _route(pred, frame) == route
         vals = defect_coords_batch(W, pred, frame)
         assert len(vals) == 12 and np.min(vals) >= 0.0 and np.max(vals) <= 1e-28
     for pred in (Strict(), GhzType(2), cut_restricted(kets[0].shape, (0,))):
@@ -559,6 +563,16 @@ def _kernel_path(pred, frame):
     return _path_of(calls)
 
 
+def _route(pred, frame):
+    """The route the packed path takes on ``frame``, forced onto that path:
+    "frame" or "pair"."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ent, "_PAIR_MAX", 10**12)
+        calls = _spy(mp, "_frame_route")
+        defect_coords_batch(np.eye(1, 2 * len(frame)), pred, frame)
+    return "frame" if calls else "pair"
+
+
 def _path_of(calls):
     """The path of one kernel call, from the calls it made to ``_row_space``."""
     return "packed" if calls else "state"
@@ -567,9 +581,13 @@ def _path_of(calls):
 def _row_rank(frame, pred):
     """The rank of the packed pair tensor the kernel found for ``pred``: the
     rows of its row-space map ``L`` but the trace row."""
+    return len(_space(frame, pred)[0]) - 1
+
+
+def _space(frame, pred):
+    """The kernel's cached row-space maps of ``frame`` for ``pred``."""
     groups = ent._cut_plan(pred, frame[0].shape)[0]
-    d = pred.d if isinstance(pred, GhzType) else None
-    return len(ent._row_space(groups, tuple(frame), d)[0]) - 1
+    return ent._row_space(groups, tuple(frame), pred.d if isinstance(pred, GhzType) else None)
 
 
 def _frames():
@@ -672,22 +690,67 @@ def test_pair_and_state_paths_agree_on_low_rank_lifts(d3, rank, monkeypatch):
     # complements give a rank far below the K + 1 rows (4 of 50 from d3 = 6
     # on), so every predicate runs on a truncated row space.  Strict reads
     # the cuts GhzType(2) reads; the one-site cut of site 0 has rank 4 of 5,
-    # and that of site 1, whose reduced state is pure, rank 1 of 10
+    # and that of site 1, whose reduced state is pure, rank 1 of 10.  An L
+    # of r + 1 rows takes the frame route below c = 2 d3 kets: every
+    # predicate from d3 = 6 on and both one-site cuts throughout
     pair_calls = _spy(monkeypatch, "_row_space")
     rng = np.random.default_rng(d3 * 137)
     for fam in (umeb_2x3_type1(), umeb_2x3_type2()):
         frame = orthonormal_complement(lift_umeb(fam, d3).kets)
         shape = frame[0].shape
         W = _unit_rows(rng, 40, 2 * len(frame))
+        wide = "frame" if d3 >= 6 else "pair"
         ranks = [
-            (GhzType(2), rank),
-            (Strict(), rank),
-            (CutRestricted(Bipartition(shape, (0,)), 2), 4),
-            (CutRestricted(Bipartition(shape, (1,)), 3), 1),
+            (GhzType(2), rank, wide),
+            (Strict(), rank, wide),
+            (CutRestricted(Bipartition(shape, (0,)), 2), 4, "frame"),
+            (CutRestricted(Bipartition(shape, (1,)), 3), 1, "frame"),
         ]
-        for pred, r in ranks:
-            assert _row_rank(frame, pred) == r
+        for pred, r, route in ranks:
+            assert _row_rank(frame, pred) == r and _route(pred, frame) == route
             _assert_paths_agree(W, pred, frame, monkeypatch, pair_calls)
+
+
+def _route_frames():
+    """The 2x3x3 family complements and the lifts' complements, d3 = 3…8."""
+    frames = [orthonormal_complement(fam.kets) for fam in (umeb_2x3x3_first(), umeb_2x3x3_second())]
+    for fam in (umeb_2x3_type1(), umeb_2x3_type2()):
+        frames += [orthonormal_complement(lift_umeb(fam, d3).kets) for d3 in range(3, 9)]
+    return frames
+
+
+def test_frame_and_pair_routes_agree(monkeypatch):
+    # the packed path contracts L either with the pair coordinates q or,
+    # never forming q, with the frame's parts Re z and Im z.  Either route
+    # serves any L; forcing each on every frame, values agree within 1e-13
+    # and gradients within 1e-12
+    rng = np.random.default_rng(149)
+    monkeypatch.setattr(ent, "_PAIR_MAX", 10**12)
+    pair_route, frame_route = ent._pair_route, ent._frame_route
+    for frame in _route_frames():
+        shape = frame[0].shape
+        W = _unit_rows(rng, 40, 2 * len(frame))
+        preds = [Strict(), GhzType(2)] + [cut_restricted(shape, (s,)) for s in range(3)]
+        for pred in preds:
+            out = []
+            for route in (pair_route, frame_route):
+                monkeypatch.setattr(ent, "_pair_route", route)
+                monkeypatch.setattr(ent, "_frame_route", route)
+                out.append((defect_coords_batch(W, pred, frame), defect_gradient(W, pred, frame)))
+            (v_pair, g_pair), (v_frame, g_frame) = out
+            assert np.max(np.abs(v_pair - v_frame)) <= 1e-13
+            assert np.max(np.abs(g_pair - g_frame)) <= 1e-12
+
+
+def test_ghz_map_is_kept_at_its_rank():
+    # GhzType's quartic map B has one row per coordinate of the cuts' X, K
+    # of them, but rank 14 of 22 on the 2x3x3 complements and 5 of 49 on the
+    # 2x3x6 lift's; the kernel keeps B's row space, and S to match
+    frames = [orthonormal_complement(fam.kets) for fam in (umeb_2x3x3_first(), umeb_2x3x3_second())]
+    frames.append(orthonormal_complement(lift_umeb(umeb_2x3_type1(), 6).kets))
+    for frame, rows in zip(frames, (14, 14, 5)):
+        _, B, S, i, _ = _space(frame, GhzType(2))
+        assert B.shape == (rows, len(i)) and S.shape[1] == rows
 
 
 def _assert_paths_agree(W, pred, frame, monkeypatch, pair_calls):
