@@ -77,6 +77,8 @@ def predicate_from_flag(flag: str, shape: SystemShape) -> Predicate:
     if flag == "ghz2":
         return GhzType(2)
     if flag == "cut1":
+        if shape.nsys < 2:  # the message Strict and GhzType give
+            raise CliError("predicate needs at least two subsystems")
         return CutRestricted(Bipartition(shape, (0,)), shape.dims[0])
     raise CliError(f"unknown predicate {flag!r}; choose from {', '.join(PREDICATE_FLAGS)}")
 

@@ -172,8 +172,8 @@ def defect(v: Ket, pred: Predicate) -> float:
     """
     _check_unit(v)
     groups = _cut_plan(pred, v.shape)[0]
-    y = _state_coords(groups, [rho for _, rho in _group_blocks(v.amps[:, None], v.shape, groups)])
-    return float(_rho_defect(y, groups, pred)[0])
+    rhos = [rho for _, rho in _group_blocks(v.amps[:, None], v.shape, groups)]
+    return float(_rho_terms(groups, rhos, pred, grad=False)[0][0])
 
 
 # --- coordinate form used by the unextendibility search ------------------
@@ -190,8 +190,8 @@ def defect(v: Ket, pred: Predicate) -> float:
 # has kets contracts with the frame's parts Re z and Im z instead and never
 # forms the c^2 entries of q (_frame_route); any other forms q
 # (_pair_route).  On large complements the rows' state vectors give the
-# reduced states, and _rho_defect and _rho_gradient take their Y = rho -
-# I/d_A to the defect and to dF/drho.
+# complex reduced states rho, and _rho_terms reads the defect and 2 dF/drho
+# off them with the same products.
 # Every per-row array keeps the row axis last and contiguous, so that _mm can
 # contract tiny matrices by broadcasting, one contiguous loop over the rows
 # per numpy call, where a stacked matmul pays about half a microsecond per
@@ -209,7 +209,8 @@ def coords_to_ket(w: np.ndarray, frame: Sequence[Ket]) -> Ket:
 # temporaries whatever the batch size (m m^dagger holds d_A times this many);
 # 32768 was no better on the lifts' ghz2, slower in one of two runs (README).
 _BLOCK_AMPS = 16384
-# Largest c^2 K that takes the packed path; see the crossover table in README.md.
+# Largest c^2 K that takes the packed path: it bounds the packed tensor's
+# size, not a crossover between the paths (ROADMAP item 16).
 _PAIR_MAX = 8192
 # Entries of the widest per-row array per packed-path block: the c^2
 # coordinates, the K + 1 rows of A, ghz2's monomials or, on the frame
@@ -345,18 +346,12 @@ def _rho_blocks(W: np.ndarray, pred: Predicate, frame: Sequence[Ket], grad: bool
         inv = _inverse_norm2(rhos[0].reshape(-1, n)[trace].real.sum(axis=0))
         for rho in rhos:
             rho.reshape(-1, n)[...] *= inv
-        y = _state_coords(groups, rhos)
+        f, gs = _rho_terms(groups, rhos, pred, grad)
         if not grad:
-            yield rows, _rho_defect(y, groups, pred)
+            yield rows, f
             continue
-        _rho_gradient(y, groups, pred, out=y)
-        gs = []
-        for (*_, lo, hi), rho in zip(groups, rhos):  # 2G from its coordinates
-            g, gy = np.empty_like(rho), y[lo:hi].reshape(rho.shape)
-            np.add(gy, gy.transpose(1, 0, 2), out=g.real)
-            np.subtract(gy, gy.transpose(1, 0, 2), out=g.imag)
+        for g, rho in zip(gs, rhos):
             _diag(g)[...] -= _rdot(g, rho)  # the chain rule through rho = rho~ / |v|^2
-            gs.append(g)
         yield rows, _state_pull(groups, ms, amps, shape, gs) * inv
 
 
@@ -397,14 +392,15 @@ def _row_space(groups, frame: tuple[Ket, ...], d):
     q = [w; t]``: ``L = [R V; tau V]``, ``R`` the triangular factor of
     ``U[:-1]``, so ``|w| = |u|``; for GhzType ``L = [V; tau V]``, and with
     ``Y_s`` the Hermitian matrix with the coordinates ``U[:, s]``, those of
-    ``t^2 X`` (see :func:`_ghz_terms`) are ``B m``, ``m = w_i w_j`` for ``i
-    <= j``: column ``(i, j)`` of ``B`` holds ``2 - delta_ij`` times those of
-    ``J_ij = (Y_i Y_j + Y_j Y_i)/2 + a (tau_j Y_i + tau_i Y_j)/2 + b tau_i
-    tau_j I``, row ``(i, j)`` of ``S`` once.  One more SVD keeps ``B`` at
-    its own numerical rank: ``B`` becomes ``Ub^T B`` and ``S`` becomes ``S
-    Ub``, for ``Ub`` the kept left singular vectors, which keeps ``|B m|``
-    and ``S x``.  Cached per (groups, frame, d): :class:`Ket` is frozen and
-    hashes by identity."""
+    ``t^2 X``, ``X = rho^2 - rho/d = Y^2 + aY + bI`` for ``Y = rho -
+    I/d_A``, ``a = 2/d_A - 1/d`` and ``b = 1/d_A^2 - 1/(d d_A)``, are ``B
+    m``, ``m = w_i w_j`` for ``i <= j``: column ``(i, j)`` of ``B`` holds
+    ``2 - delta_ij`` times those of ``J_ij = (Y_i Y_j + Y_j Y_i)/2 + a
+    (tau_j Y_i + tau_i Y_j)/2 + b tau_i tau_j I``, row ``(i, j)`` of ``S``
+    once.  One more SVD keeps ``B`` at its own numerical rank: ``B`` becomes
+    ``Ub^T B`` and ``S`` becomes ``S Ub``, for ``Ub`` the kept left singular
+    vectors, which keeps ``|B m|`` and ``S x``.  Cached per (groups, frame,
+    d): :class:`Ket` is frozen and hashes by identity."""
     A = _pair_tensor(groups, frame)
     sv, V = np.linalg.svd(A, full_matrices=False)[1:]
     V = V[: _numerical_rank(sv, A.shape)]
@@ -552,66 +548,31 @@ def _reduced_state(v: Ket, cut: Bipartition) -> np.ndarray:
     return rho[..., 0]
 
 
-def _state_coords(groups, rhos) -> np.ndarray:
-    """The ``(K, rows)`` real coordinates ``Re rho + Im rho - I/d_A`` of ``Y
-    = rho - I/d_A``, in the row order of :func:`_plan`, from each group's
-    ``(d_A, d_A, k rows)`` stack of reduced states."""
-    y = np.empty((groups[-1][4], rhos[0].shape[2] // len(groups[0][0])))
-    for (_, da, _, lo, hi), rho in zip(groups, rhos):
-        yg = np.add(rho.real, rho.imag, out=y[lo:hi].reshape(rho.shape))
-        _diag(yg)[...] -= 1.0 / da
-    return y
+def _rho_terms(groups, rhos, pred: Predicate, grad: bool):
+    """``(f, gs)`` from each group's ``(d_A, d_A, k rows)`` stack of reduced
+    states ``rho``: the rows' defects ``f = sum |x|^2`` over the cuts and,
+    with ``grad``, ``2G`` per group, ``G = df/drho`` (else ``gs`` is empty).
 
-
-def _ghz_terms(y: np.ndarray, group, d: int):
-    """``(x, r, a)`` for GhzType(d) on one cut group, in real coordinates.
-
-    The group's ``(d_A, d_A, k rows)`` coordinates ``Q`` of ``Y = S + iN``
-    give ``S = (Q + Q^T)/2`` and ``N = (Q - Q^T)/2``.  A product of commuting
-    Hermitian matrices, the first with coordinates ``Q``, has coordinates
-    ``[Q | Q^T] [S'; N']`` for the second ``S' + iN'``.  So ``x``, those of
-    ``X = rho^2 - rho/d = Y^2 + aY + bI`` with ``a = 2/d_A - 1/d`` and ``b =
-    1/d_A^2 - 1/(d d_A)``, is one real product with ``r = [S + aI; N]``.
-    """
-    _, da, _, lo, hi = group
-    q = y[lo:hi].reshape(da, da, -1)
-    a, qt, r = 2.0 / da - 1.0 / d, q.transpose(1, 0, 2), np.empty((2 * da, da, q.shape[2]))
-    np.add(q, qt, out=r[:da])
-    np.subtract(q, qt, out=r[da:])
-    r *= 0.5
-    _diag(r[:da])[...] += a
-    x = np.einsum("ikn,kjn->ijn", np.concatenate([q, qt], axis=1), r)
-    _diag(x)[...] += 1.0 / da**2 - 1.0 / (d * da)
-    return x, r, a
-
-
-def _rho_defect(y: np.ndarray, groups, pred: Predicate) -> np.ndarray:
-    """Defects of the rows of ``y``, the ``(K, rows)`` coordinates of ``Y =
-    rho - I/d_A`` on every cut, which only the state path forms: ``|Y|^2``
-    for Strict and CutRestricted, ``|X|^2`` (see :func:`_ghz_terms`) for
-    GhzType, since the coordinates keep norms."""
-    if not isinstance(pred, GhzType):
-        return np.einsum("kn,kn->n", y, y)
-    xs = (_ghz_terms(y, group, pred.d)[0].reshape(-1, y.shape[1]) for group in groups)
-    return sum(np.einsum("kn,kn->n", x, x) for x in xs)
-
-
-def _rho_gradient(y: np.ndarray, groups, pred: Predicate, out: np.ndarray) -> np.ndarray:
-    """The coordinates of ``G = df/drho`` on every cut at ``Y`` (see
-    :func:`_rho_defect`), written into and returned as ``out`` (which may be
-    ``y``: a group reads its rows first); ``df = Re tr(G drho)`` is their
-    dot product with those of ``dY``.  Strict and CutRestricted: ``G = 2Y``.
-    GhzType: ``X`` commutes with ``Y``, so ``G = 2(X rho + rho X - X/d) =
-    2X (2Y + aI)``, with coordinates ``[x | x^T] (4r - [2aI; 0])``."""
-    if not isinstance(pred, GhzType):
-        return np.multiply(y, 2.0, out=out)
-    for group in groups:
-        x, r, a = _ghz_terms(y, group, pred.d)
-        r *= 4.0
-        _diag(r[: x.shape[0]])[...] -= 2.0 * a
-        xx, g = np.concatenate([x, x.transpose(1, 0, 2)], axis=1), out[group[3] : group[4]]
-        np.einsum("ikn,kjn->ijn", xx, r, out=g.reshape(x.shape))
-    return out
+    Strict and CutRestricted: ``x = rho - I/d_A`` and ``2G = 4x``.
+    GhzType(d): ``x = X = rho (rho - I/d)``, which commutes with ``rho``, so
+    ``2G = 4X (2 rho - I/d)``.  ``x`` has no difference of squares, so a row
+    that meets the predicate reads rounding squared.  Every cut's ``x``
+    shares one ``(K, rows)`` array, in the row order of :func:`_plan`, so
+    that one dot product sums ``f``."""
+    d = pred.d if isinstance(pred, GhzType) else None
+    x = np.empty((groups[-1][4], rhos[0].shape[2] // len(groups[0][0])), dtype=np.complex128)
+    xs, rs = [x[lo:hi].reshape(rho.shape) for (*_, lo, hi), rho in zip(groups, rhos)], []
+    for (_, da, *_), rho, y in zip(groups, rhos, xs):
+        y[...] = rho
+        _diag(y)[...] -= 1.0 / (d or da)
+        if d is not None:
+            rs.append(rho + y)  # 2 rho - I/d
+            y[...] = _mm(rho, y)
+    f = _rdot(x[:, None], x[:, None])
+    if not grad:
+        return f, []
+    x *= 4.0
+    return f, xs if d is None else [_mm(g, r) for g, r in zip(xs, rs)]
 
 
 def defect_gradient(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.ndarray:
@@ -623,7 +584,7 @@ def defect_gradient(W: np.ndarray, pred: Predicate, frame: Sequence[Ket]) -> np.
     read the defect takes its gradient back through the normalization
     and the frame (see :func:`_rho_blocks`): on the packed path through
     ``L^T`` (see :func:`_packed_block`), on the state path from each cut's
-    ``G = df/drho`` (see :func:`_rho_gradient`) through the state vectors.
+    ``G = df/drho`` (see :func:`_rho_terms`) through the state vectors.
     Radial (scale) and global-phase directions carry no gradient.
     """
     w = np.asarray(W, dtype=np.float64)

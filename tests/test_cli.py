@@ -166,6 +166,15 @@ def test_oversized_complement_exits_one_before_allocating(tmp_path, capsys, monk
         assert err == line
 
 
+def test_one_site_file_needs_two_subsystems_under_every_predicate(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"name": "one", "shape": [4], "vectors": [[[1, 0], [0, 0], [0, 0], [0, 0]]]}))
+    for command in ("verify", "search"):
+        for flag in ("strict", "ghz2", "cut1"):
+            code, out, err = run(capsys, command, str(path), "--predicate", flag, "--restarts", "1")
+            assert (code, out, err) == (1, "", "error: predicate needs at least two subsystems\n")
+
+
 def test_search_json_is_byte_identical_across_runs(tmp_path, capsys):
     src = tmp_path / "fam.json"
     run(capsys, "export", "umeb-2x3x3-1", "-o", str(src))

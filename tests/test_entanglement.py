@@ -421,12 +421,13 @@ def test_maximally_entangled_rows_read_zero_without_cancellation(monkeypatch):
     # 2x3x6 lift's kets holds the other half, and its packed pair tensor has
     # rank 32 of 50 rows for GhzType(2) and 4 of 5 for the cut of site 0.
     # The packed path reads every predicate off its row-space map alone, the
-    # state path through the coordinates of Y.  With c = 24 kets, GhzType(2)
-    # takes the pair route and the cut of site 0 the frame route
+    # state path off the complex reduced states, and both read the held kets
+    # at rounding squared.  With c = 24 kets, GhzType(2) takes the pair route
+    # and the cut of site 0 the frame route
     kets = lift_umeb(umeb_2x3_type1(), 6).kets
     frame = orthonormal_complement(kets[:12])
     W = (stack_amps(kets[12:]) @ stack_amps(frame).conj().T).view(np.float64)
-    helpers = [_spy(monkeypatch, name) for name in ("_rho_defect", "_rho_gradient", "_ghz_terms")]
+    helpers = [_spy(monkeypatch, name) for name in ("_rho_terms",)]
     monkeypatch.setattr(ent, "_PAIR_MAX", 10**12)
     preds = [(GhzType(2), 32, "pair"), (cut_restricted(kets[0].shape, (0,)), 4, "frame")]
     for pred, rank, route in preds:
@@ -439,7 +440,10 @@ def test_maximally_entangled_rows_read_zero_without_cancellation(monkeypatch):
         defect_gradient(W, pred, frame)
     assert not any(helpers)
     monkeypatch.setattr(ent, "_PAIR_MAX", 0)
-    defect_coords_batch(W, GhzType(2), frame)
+    for pred, _, _ in preds:
+        assert _kernel_path(pred, frame) == "state"
+        vals = defect_coords_batch(W, pred, frame)
+        assert len(vals) == 12 and np.min(vals) >= 0.0 and np.max(vals) <= 1e-28
     defect_gradient(W, GhzType(2), frame)
     assert all(helpers)
 
